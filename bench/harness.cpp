@@ -62,8 +62,8 @@ HarnessConfig configFromEnv(HarnessConfig base) {
 Harness::Harness(std::string benchName, HarnessConfig config)
     : name_(std::move(benchName)), config_(config) {}
 
-const CaseResult& Harness::run(const std::string& caseName,
-                               const std::function<void()>& fn) {
+CaseResult Harness::run(const std::string& caseName,
+                        const std::function<void()>& fn) {
   const bool wasEnabled = obs::enabled();
   obs::setEnabled(true);
 

@@ -74,10 +74,10 @@ class Harness {
   /// timed, recording wall seconds and a counter snapshot per timed run.
   /// Metrics collection is force-enabled around the case (and the prior
   /// enabled state restored) so counter snapshots are populated even
-  /// without MSC_METRICS=1. Returns the aggregated result (also retained
-  /// for writeJson).
-  const CaseResult& run(const std::string& caseName,
-                        const std::function<void()>& fn);
+  /// without MSC_METRICS=1. Returns a copy of the aggregated result (the
+  /// retained one, kept for writeJson, moves when later cases run).
+  CaseResult run(const std::string& caseName,
+                 const std::function<void()>& fn);
 
   /// Attaches per-phase duration samples (seconds) to the most recently
   /// run case, aggregated to {count, median, p99} and rendered as a

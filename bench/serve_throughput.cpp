@@ -122,7 +122,7 @@ int main() {
 
   // Every request batch re-loads the instance from scratch: each solve is
   // an APSP compute (serve.cache.apsp_misses == requestsPerRun per run).
-  const auto& cold = h.run("solve_cold_cache", [&] {
+  const auto cold = h.run("solve_cold_cache", [&] {
     for (int i = 0; i < requestsPerRun; ++i) {
       engine.cache().clear();
       expectOk(engine.handleLine(loadGraphReq));
@@ -141,7 +141,7 @@ int main() {
   expectOk(engine.handleLine(loadGraphReq));
   expectOk(engine.handleLine(loadPairsReq));
   expectOk(engine.handleLine(solveReq));  // memoize APSP before timing
-  const auto& warm = h.run("solve_warm_cache", [&] {
+  const auto warm = h.run("solve_warm_cache", [&] {
     for (int i = 0; i < requestsPerRun; ++i) {
       solveResponses.push_back(engine.handleLine(solveReq));
       expectOk(solveResponses.back());
@@ -163,7 +163,7 @@ int main() {
   std::size_t progressEvents = 0;
   const std::function<void(const std::string&)> countEvents =
       [&progressEvents](const std::string&) { ++progressEvents; };
-  const auto& withProgress = h.run("solve_with_progress", [&] {
+  const auto withProgress = h.run("solve_with_progress", [&] {
     for (int i = 0; i < requestsPerRun; ++i) {
       solveResponses.push_back(engine.handle(progressReq, 0.0, &countEvents));
       expectOk(solveResponses.back());
@@ -185,7 +185,7 @@ int main() {
       "{\"cmd\":\"load_graph\",\"as\":\"g\",\"distance_mode\":"
       "\"pair_centric\",\"text\":\"" +
       escape(graphText(spatial.instance)) + "\"}";
-  const auto& pairCentric = h.run("solve_pair_centric_cold", [&] {
+  const auto pairCentric = h.run("solve_pair_centric_cold", [&] {
     for (int i = 0; i < requestsPerRun; ++i) {
       engine.cache().clear();
       expectOk(engine.handleLine(loadGraphPcReq));

@@ -1,6 +1,7 @@
 #include "core/bounds.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 #include <utility>
 
@@ -38,14 +39,31 @@ std::vector<std::pair<const double*, const double*>> pairEndpointRows(
   return rows;
 }
 
+// `total` plus weights[i] for every set bit i, added in ascending order.
+double addWeightsOf(double total, const util::Bitset& bits,
+                    const std::vector<double>& weights) {
+  const auto& words = bits.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    std::uint64_t word = words[w];
+    while (word != 0) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+      total += weights[w * 64 + bit];
+      word &= word - 1;
+    }
+  }
+  return total;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Mu ----
 
 MuEvaluator::MuEvaluator(const Instance& instance,
-                         const CandidateSet& candidates)
+                         const CandidateSet& candidates,
+                         std::vector<double> pairWeights)
     : instance_(&instance),
       candidates_(&candidates),
+      weights_(checkPairWeights(instance, std::move(pairWeights))),
       baseSatisfied_(instance.pairs().size()),
       covered_(instance.pairs().size()) {
   const auto& pairs = instance.pairs();
@@ -87,11 +105,16 @@ const util::Bitset& MuEvaluator::bitsetFor(const Shortcut& f,
   return scratch;
 }
 
+double MuEvaluator::weightOf(const util::Bitset& pairs) const {
+  if (weights_.empty()) return static_cast<double>(pairs.count());
+  return addWeightsOf(0.0, pairs, weights_);
+}
+
 double MuEvaluator::value(const ShortcutList& placement) const {
   util::Bitset acc = baseSatisfied_;
   util::Bitset scratch;
   for (const Shortcut& f : placement) acc |= bitsetFor(f, scratch);
-  return static_cast<double>(acc.count());
+  return weightOf(acc);
 }
 
 void MuEvaluator::reset() { covered_ = baseSatisfied_; }
@@ -102,7 +125,12 @@ double MuEvaluator::gainIfAdd(const Shortcut& f) const {
     cGain.add(1);
   }
   util::Bitset scratch;
-  return static_cast<double>(covered_.gainIfUnion(bitsetFor(f, scratch)));
+  const util::Bitset& bits = bitsetFor(f, scratch);
+  if (weights_.empty()) return static_cast<double>(covered_.gainIfUnion(bits));
+  double gain = 0.0;
+  covered_.forEachMissingFrom(bits,
+                              [&](std::size_t i) { gain += weights_[i]; });
+  return gain;
 }
 
 void MuEvaluator::add(const Shortcut& f) {
@@ -123,8 +151,10 @@ util::Bitset MuEvaluator::satisfiedBy(const Shortcut& f) const {
 
 // ---------------------------------------------------------------- Nu ----
 
-NuEvaluator::NuEvaluator(const Instance& instance)
+NuEvaluator::NuEvaluator(const Instance& instance,
+                         std::vector<double> pairWeights)
     : instance_(&instance), covered_(instance.pairNodes().size()) {
+  pairWeights = checkPairWeights(instance, std::move(pairWeights));
   const auto& pairs = instance.pairs();
   const auto& pairNodes = instance.pairNodes();
   const double dt = instance.distanceThreshold();
@@ -140,15 +170,17 @@ NuEvaluator::NuEvaluator(const Instance& instance)
   // folded into baseConstant_ so nu still upper-bounds sigma on instances
   // with pre-satisfied pairs.
   weights_.assign(pairNodes.size(), 0.0);
-  for (const SocialPair& p : pairs) {
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const SocialPair& p = pairs[i];
+    const double w = pairWeights.empty() ? 1.0 : pairWeights[i];
     if (instance.baseSatisfied(p)) {
-      baseConstant_ += 1.0;
+      baseConstant_ += w;
       continue;
     }
     weights_[static_cast<std::size_t>(slot[static_cast<std::size_t>(p.u)])] +=
-        0.5;
+        0.5 * w;
     weights_[static_cast<std::size_t>(slot[static_cast<std::size_t>(p.w)])] +=
-        0.5;
+        0.5 * w;
   }
 
   // coverage_[v]: pair-nodes within d_t of graph node v. Built by sweeping
@@ -175,17 +207,7 @@ double NuEvaluator::value(const ShortcutList& placement) const {
     acc |= coverage_[static_cast<std::size_t>(f.a)];
     acc |= coverage_[static_cast<std::size_t>(f.b)];
   }
-  double total = baseConstant_;
-  const auto& words = acc.words();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bits = words[w];
-    while (bits != 0) {
-      const int bit = std::countr_zero(bits);
-      total += weights_[w * 64 + static_cast<std::size_t>(bit)];
-      bits &= bits - 1;
-    }
-  }
-  return total;
+  return addWeightsOf(baseConstant_, acc, weights_);
 }
 
 void NuEvaluator::reset() {

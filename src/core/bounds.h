@@ -18,6 +18,13 @@
 // shortcuts at all: those pairs contribute a constant to both bounds, which
 // keeps mu <= sigma <= nu valid for arbitrary instances, not only the
 // paper's "every sampled pair starts unsatisfied" setting.
+//
+// Both take the optional per-pair weights of weighted MSC (see
+// core/sigma.h): mu then sums the weights of the covered pairs and each
+// pair adds half its weight to each endpoint's nu weight. The bound proofs
+// are weight-oblivious, and with no weights the mu gain scan keeps its
+// popcount while nu's arithmetic (0.5 * 1.0, += 1.0) is exact, so
+// unweighted values are unchanged bit for bit.
 #pragma once
 
 #include <memory>
@@ -34,8 +41,10 @@ namespace msc::core {
 class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:
   /// Bitsets for `candidates` are precomputed; shortcuts outside the
-  /// candidate set are still handled (computed on the fly).
-  MuEvaluator(const Instance& instance, const CandidateSet& candidates);
+  /// candidate set are still handled (computed on the fly). `pairWeights`
+  /// as for SigmaEvaluator (empty = unit weights).
+  MuEvaluator(const Instance& instance, const CandidateSet& candidates,
+              std::vector<double> pairWeights = {});
 
   // SetFunction
   double value(const ShortcutList& placement) const override;
@@ -43,9 +52,7 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
 
   // IncrementalEvaluator
   void reset() override;
-  double currentValue() const override {
-    return static_cast<double>(covered_.count());
-  }
+  double currentValue() const override { return weightOf(covered_); }
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
 
@@ -55,9 +62,12 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
 
  private:
   const util::Bitset& bitsetFor(const Shortcut& f, util::Bitset& scratch) const;
+  /// Summed weight of the pairs in `pairs` (their count when unweighted).
+  double weightOf(const util::Bitset& pairs) const;
 
   const Instance* instance_;
   const CandidateSet* candidates_;
+  std::vector<double> weights_;             // [pair index]; empty = unit
   std::vector<util::Bitset> perCandidate_;  // [candidate index] -> pair bits
   util::Bitset baseSatisfied_;
   util::Bitset covered_;  // incremental state
@@ -66,7 +76,9 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
 /// Upper bound nu: weighted coverage of pair endpoints.
 class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
  public:
-  explicit NuEvaluator(const Instance& instance);
+  /// `pairWeights` as for SigmaEvaluator (empty = unit weights).
+  explicit NuEvaluator(const Instance& instance,
+                       std::vector<double> pairWeights = {});
 
   // SetFunction
   double value(const ShortcutList& placement) const override;
@@ -78,8 +90,8 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
   double gainIfAdd(const Shortcut& f) const override;
   void add(const Shortcut& f) override;
 
-  /// Weight of pair-node index i (occurrences among initially-unsatisfied
-  /// pairs, halved).
+  /// Weight of pair-node index i: half the summed weight of the
+  /// initially-unsatisfied pairs it belongs to.
   double nodeWeight(std::size_t pairNodeIndex) const {
     return weights_.at(pairNodeIndex);
   }
@@ -90,7 +102,7 @@ class NuEvaluator final : public SetFunction, public IncrementalEvaluator {
   const Instance* instance_;
   std::vector<util::Bitset> coverage_;  // [graph node] -> pair-node bits
   std::vector<double> weights_;         // [pair-node index]
-  double baseConstant_ = 0.0;           // count of base-satisfied pairs
+  double baseConstant_ = 0.0;           // weight of base-satisfied pairs
   util::Bitset covered_;                // incremental state over pair-nodes
   double current_ = 0.0;
 };

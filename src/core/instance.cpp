@@ -112,6 +112,21 @@ Instance Instance::fromFailureThreshold(msc::graph::Graph g,
                               InstanceOptions{.threads = threads});
 }
 
+std::vector<double> checkPairWeights(const Instance& instance,
+                                     std::vector<double> weights) {
+  if (weights.empty()) return weights;
+  if (static_cast<int>(weights.size()) != instance.pairCount()) {
+    throw std::invalid_argument("pair weights: size must equal pair count");
+  }
+  for (const double w : weights) {
+    if (!std::isfinite(w) || w < 0.0) {
+      throw std::invalid_argument(
+          "pair weights: must be finite and non-negative");
+    }
+  }
+  return weights;
+}
+
 namespace {
 
 std::vector<SocialPair> samplePairsFiltered(

@@ -100,16 +100,6 @@ class Instance {
     return oracle_;
   }
 
-  /// Full n x n base distance matrix. On the pair-centric backend this
-  /// materializes (and caches) all n^2 entries — the exact cost the oracle
-  /// API exists to avoid, hence the deprecation. Migrate to
-  /// distanceOracle().distancesFrom(v) / .distance(x, y).
-  [[deprecated(
-      "materializes O(n^2) distances; use distanceOracle() instead")]]
-  const msc::graph::DistanceMatrix& baseDistances() const {
-    return oracle_->materialize();
-  }
-
   const std::vector<SocialPair>& pairs() const noexcept { return pairs_; }
   int pairCount() const noexcept { return static_cast<int>(pairs_.size()); }
   double distanceThreshold() const noexcept { return distanceThreshold_; }
@@ -143,6 +133,13 @@ class Instance {
   // is released before the oracle reference goes away.
   std::shared_ptr<void> rowLease_;
 };
+
+/// Validates the optional per-pair weights the sigma/mu/nu evaluators
+/// take: empty (every pair weighs 1) or one finite, non-negative weight per
+/// pair of `instance`. Returns `weights` unchanged; throws
+/// std::invalid_argument otherwise.
+std::vector<double> checkPairWeights(const Instance& instance,
+                                     std::vector<double> weights);
 
 /// Samples `m` important social pairs uniformly from the node pairs whose
 /// base shortest-path failure probability exceeds the threshold (paper

@@ -19,10 +19,11 @@ namespace msc::core {
 
 SandwichResult sandwichApproximation(const Instance& instance,
                                      const CandidateSet& candidates,
-                                     const SolveOptions& options) {
-  SigmaEvaluator sigmaEval(instance);
-  MuEvaluator muEval(instance, candidates);
-  NuEvaluator nuEval(instance);
+                                     const SolveOptions& options,
+                                     const std::vector<double>& pairWeights) {
+  SigmaEvaluator sigmaEval(instance, pairWeights);
+  MuEvaluator muEval(instance, candidates, pairWeights);
+  NuEvaluator nuEval(instance, pairWeights);
   return sandwichApproximation(sigmaEval, muEval, nuEval, sigmaEval, nuEval,
                                candidates, options);
 }

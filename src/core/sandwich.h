@@ -16,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "core/candidates.h"
 #include "core/greedy.h"
@@ -79,10 +80,11 @@ SandwichResult sandwichApproximation(IncrementalEvaluator& sigmaEval,
                                      const SolveOptions& options);
 
 /// Convenience wrapper for a single static instance: builds the three
-/// evaluators internally.
+/// evaluators internally. `pairWeights` (one per pair, empty = unit
+/// weights) runs the sandwich on the weighted objective.
 class Instance;
-SandwichResult sandwichApproximation(const Instance& instance,
-                                     const CandidateSet& candidates,
-                                     const SolveOptions& options);
+SandwichResult sandwichApproximation(
+    const Instance& instance, const CandidateSet& candidates,
+    const SolveOptions& options, const std::vector<double>& pairWeights = {});
 
 }  // namespace msc::core

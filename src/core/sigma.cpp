@@ -1,6 +1,7 @@
 #include "core/sigma.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
@@ -19,30 +20,53 @@ void publishPairScan(std::size_t pairs, int alreadySatisfied) {
 
 }  // namespace
 
-SigmaEvaluator::SigmaEvaluator(const Instance& instance)
+SigmaEvaluator::SigmaEvaluator(const Instance& instance,
+                               std::vector<double> pairWeights)
     : instance_(&instance),
+      weights_(checkPairWeights(instance, std::move(pairWeights))),
       overlay_(std::make_unique<msc::graph::OverlayEvaluator>(
           instance.distanceOracle(), instance.pairNodes())),
       rows_(instance.distanceOracle(), instance.pairNodes()) {
-  refreshSatisfied();
+  reset();
 }
 
 void SigmaEvaluator::reset() {
   rows_.reset();
-  refreshSatisfied();
+  pairSatisfied_.assign(instance_->pairs().size(), 0);
+  satisfied_ = 0;
+  current_ = 0.0;
+  markNewlySatisfied();
 }
 
-void SigmaEvaluator::refreshSatisfied() {
+void SigmaEvaluator::markNewlySatisfied() {
   const auto& pairs = instance_->pairs();
-  pairSatisfied_.assign(pairs.size(), 0);
-  satisfied_ = 0;
   const double dt = instance_->distanceThreshold();
   for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairSatisfied_[i]) continue;  // distances only shrink
     const double* ru = rows_.rowIfPresent(pairs[i].u);
     if (ru[static_cast<std::size_t>(pairs[i].w)] <= dt) {
       pairSatisfied_[i] = 1;
       ++satisfied_;
+      current_ += pairWeight(i);
     }
+  }
+}
+
+template <typename Fn>
+void SigmaEvaluator::forEachGained(const Shortcut& f, Fn fn) const {
+  const auto& pairs = instance_->pairs();
+  const double dt = instance_->distanceThreshold();
+  const auto a = static_cast<std::size_t>(f.a);
+  const auto b = static_cast<std::size_t>(f.b);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (pairSatisfied_[i]) continue;  // distances only shrink
+    // Both endpoint rows exist: pair nodes seed the row store. The row of w
+    // stands in for the columns of w (the evolved metric is symmetric).
+    const double* ru = rows_.rowIfPresent(pairs[i].u);
+    const double* rw = rows_.rowIfPresent(pairs[i].w);
+    const double viaAB = ru[a] + rw[b];
+    const double viaBA = ru[b] + rw[a];
+    if (std::min(viaAB, viaBA) <= dt) fn(i);
   }
 }
 
@@ -52,22 +76,14 @@ double SigmaEvaluator::gainIfAdd(const Shortcut& f) const {
     cGain.add(1);
     publishPairScan(instance_->pairs().size(), satisfied_);
   }
-  const auto& pairs = instance_->pairs();
-  const double dt = instance_->distanceThreshold();
-  const auto a = static_cast<std::size_t>(f.a);
-  const auto b = static_cast<std::size_t>(f.b);
-  int gain = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairSatisfied_[i]) continue;  // distances only shrink
-    // Both endpoint rows exist: pair nodes seed the row store. The row of w
-    // stands in for the columns of w (the evolved metric is symmetric).
-    const double* ru = rows_.rowIfPresent(pairs[i].u);
-    const double* rw = rows_.rowIfPresent(pairs[i].w);
-    const double viaAB = ru[a] + rw[b];
-    const double viaBA = ru[b] + rw[a];
-    if (std::min(viaAB, viaBA) <= dt) ++gain;
+  if (weights_.empty()) {
+    int gain = 0;
+    forEachGained(f, [&gain](std::size_t) { ++gain; });
+    return static_cast<double>(gain);
   }
-  return static_cast<double>(gain);
+  double gain = 0.0;
+  forEachGained(f, [&](std::size_t i) { gain += weights_[i]; });
+  return gain;
 }
 
 void SigmaEvaluator::add(const Shortcut& f) {
@@ -77,16 +93,7 @@ void SigmaEvaluator::add(const Shortcut& f) {
     publishPairScan(instance_->pairs().size(), satisfied_);
   }
   rows_.applyZeroEdge(f.a, f.b);
-  const auto& pairs = instance_->pairs();
-  const double dt = instance_->distanceThreshold();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (pairSatisfied_[i]) continue;
-    const double* ru = rows_.rowIfPresent(pairs[i].u);
-    if (ru[static_cast<std::size_t>(pairs[i].w)] <= dt) {
-      pairSatisfied_[i] = 1;
-      ++satisfied_;
-    }
-  }
+  markNewlySatisfied();
 }
 
 double SigmaEvaluator::pairDistance(int pairIndex) const {
@@ -94,16 +101,16 @@ double SigmaEvaluator::pairDistance(int pairIndex) const {
   return rows_.rowIfPresent(p.u)[static_cast<std::size_t>(p.w)];
 }
 
-int SigmaEvaluator::countSatisfied(
-    const msc::graph::ShortcutRowStore& rows) const {
+// Sums in pair order, so every strategy returns the same bits; with unit
+// weights the sum of 1.0s is the exact pair count.
+template <typename DistanceOf>
+double SigmaEvaluator::weightWithin(DistanceOf distanceOf) const {
   const double dt = instance_->distanceThreshold();
-  int count = 0;
-  for (const SocialPair& p : instance_->pairs()) {
-    if (rows.rowIfPresent(p.u)[static_cast<std::size_t>(p.w)] <= dt) {
-      ++count;
-    }
+  double total = 0.0;
+  for (std::size_t i = 0; i < instance_->pairs().size(); ++i) {
+    if (distanceOf(i) <= dt) total += pairWeight(i);
   }
-  return count;
+  return total;
 }
 
 double SigmaEvaluator::value(const ShortcutList& placement) const {
@@ -131,7 +138,10 @@ double SigmaEvaluator::valueByRows(const ShortcutList& placement) const {
   msc::graph::ShortcutRowStore rows(instance_->distanceOracle(),
                                     instance_->pairNodes());
   for (const Shortcut& f : placement) rows.applyZeroEdge(f.a, f.b);
-  return static_cast<double>(countSatisfied(rows));
+  const auto& pairs = instance_->pairs();
+  return weightWithin([&](std::size_t i) {
+    return rows.rowIfPresent(pairs[i].u)[static_cast<std::size_t>(pairs[i].w)];
+  });
 }
 
 double SigmaEvaluator::valueByOverlay(const ShortcutList& placement) const {
@@ -142,8 +152,9 @@ double SigmaEvaluator::valueByOverlay(const ShortcutList& placement) const {
   std::vector<std::pair<msc::graph::NodeId, msc::graph::NodeId>> queries;
   queries.reserve(instance_->pairs().size());
   for (const SocialPair& p : instance_->pairs()) queries.push_back({p.u, p.w});
-  return static_cast<double>(overlay_->countWithinThreshold(
-      queries, asNodePairs(placement), instance_->distanceThreshold()));
+  const std::vector<double> dists =
+      overlay_->pairDistances(queries, asNodePairs(placement));
+  return weightWithin([&dists](std::size_t i) { return dists[i]; });
 }
 
 double SigmaEvaluator::valueByRebuild(const ShortcutList& placement) const {
@@ -156,12 +167,10 @@ double SigmaEvaluator::valueByRebuild(const ShortcutList& placement) const {
     g.addEdge(e.u, e.v, e.length);
   }
   for (const Shortcut& f : placement) g.addEdge(f.a, f.b, 0.0);
-  const double dt = instance_->distanceThreshold();
-  int count = 0;
-  for (const SocialPair& p : instance_->pairs()) {
-    if (msc::graph::dijkstraDistance(g, p.u, p.w) <= dt) ++count;
-  }
-  return static_cast<double>(count);
+  const auto& pairs = instance_->pairs();
+  return weightWithin([&](std::size_t i) {
+    return msc::graph::dijkstraDistance(g, pairs[i].u, pairs[i].w);
+  });
 }
 
 double sigmaValue(const Instance& instance, const ShortcutList& placement) {

@@ -191,7 +191,6 @@ PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph)
 PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph,
                                      Config config)
     : graph_(std::move(graph)),
-      threads_(config.threads),
       budget_(config.rowBudgetBytes) {
   if (!graph_) {
     throw std::invalid_argument("PairCentricOracle: null graph");
@@ -575,23 +574,6 @@ double PairCentricOracle::altSearch(NodeId s, NodeId t,
   return kInfDist;
 }
 
-const DistanceMatrix& PairCentricOracle::materialize() const {
-  const std::lock_guard<std::mutex> lock(fullMu_);
-  if (!full_) {
-    if (msc::obs::enabled()) {
-      static auto& cMat = msc::obs::counter("oracle.materializations");
-      cMat.add(1);
-    }
-    auto built = std::make_unique<const DistanceMatrix>(
-        allPairsDistances(*graph_, threads_));
-    bytes_.fetch_add(
-        built->rows() * built->cols() * sizeof(double) + kObjectOverhead,
-        std::memory_order_relaxed);
-    full_ = std::move(built);
-  }
-  return *full_;
-}
-
 std::size_t PairCentricOracle::cachedRowCount() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return rows_.size();
@@ -733,7 +715,6 @@ std::shared_ptr<const DistanceOracle> makeDistanceOracle(
   return std::make_shared<const PairCentricOracle>(
       std::move(graph),
       PairCentricOracle::Config{.landmarks = landmarks,
-                                .threads = threads,
                                 .rowBudgetBytes = rowBudgetBytes});
 }
 

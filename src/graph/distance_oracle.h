@@ -17,8 +17,8 @@
 // directions (see allPairsDistances), while a pair-centric row is the raw
 // one-directional Dijkstra result. The two can differ in the last ulp on
 // paths of >= 3 edges (floating-point addition is not associative). All
-// threshold-counting objectives (sigma/mu/nu and the weighted variants)
-// are integer-or-weight sums over comparisons d <= d_t, so the backends
+// threshold-counting objectives (sigma/mu/nu, with or without per-pair
+// weights) are sums over comparisons d <= d_t, so the backends
 // agree exactly unless a distance lands within one ulp of the threshold —
 // the property suite in tests/test_distance_oracle.cpp sweeps every
 // generator to confirm the values coincide in practice.
@@ -143,13 +143,8 @@ class DistanceOracle {
   util::Matrix<double> distancesToTerminals(std::span<const NodeId> terminals,
                                             int threads = 1) const;
 
-  /// Full n x n matrix. The dense backend returns its own storage; the
-  /// pair-centric backend computes and caches one on first call — an
-  /// O(n^2) escape hatch for deprecated callers, never on the solve path.
-  virtual const DistanceMatrix& materialize() const = 0;
-
-  /// Estimated bytes this oracle keeps resident (rows, landmark rows, a
-  /// materialized matrix, lease-parked evicted rows). Grows as lazy rows
+  /// Estimated bytes this oracle keeps resident (the dense matrix, rows,
+  /// landmark rows, lease-parked evicted rows). Grows as lazy rows
   /// are cached; shrinks again when budgeted rows are evicted and freed.
   virtual std::size_t residentBytes() const noexcept = 0;
 
@@ -197,7 +192,6 @@ class DenseMatrixOracle final : public DistanceOracle {
   std::span<const double> distancesFrom(NodeId v) const override;
   void prefetchRows(std::span<const NodeId> sources,
                     int threads) const override;
-  const DistanceMatrix& materialize() const override { return *matrix_; }
   std::size_t residentBytes() const noexcept override;
   const char* mode() const noexcept override { return "dense"; }
   OracleStats stats() const override;
@@ -226,7 +220,8 @@ class PairCentricOracle final : public DistanceOracle {
     /// Landmark count for ALT lower bounds. Clamped to [0, n]; 0 degrades
     /// point queries to plain bidirectional-free Dijkstra with early exit.
     int landmarks = 8;
-    /// Worker threads for prefetchRows bursts and materialize().
+    /// Accepted for source compatibility and ignored: the oracle starts no
+    /// workers of its own (prefetchRows takes its thread count per call).
     int threads = 1;
     /// Row-cache byte budget; 0 = unbounded. Landmark rows are pinned and
     /// count against the budget but are never evicted.
@@ -245,7 +240,6 @@ class PairCentricOracle final : public DistanceOracle {
   std::span<const double> distancesFrom(NodeId v) const override;
   void prefetchRows(std::span<const NodeId> sources,
                     int threads) const override;
-  const DistanceMatrix& materialize() const override;
   std::size_t residentBytes() const noexcept override {
     return bytes_.load(std::memory_order_relaxed);
   }
@@ -287,7 +281,6 @@ class PairCentricOracle final : public DistanceOracle {
   void releaseRowLease() const;
 
   std::shared_ptr<const Graph> graph_;
-  int threads_;
   std::size_t budget_ = 0;
   std::vector<NodeId> landmarkIds_;
   // Shared refs to the landmark rows give the point-query hot loop
@@ -299,16 +292,13 @@ class PairCentricOracle final : public DistanceOracle {
   mutable std::mutex mu_;
   mutable std::map<NodeId, Row> rows_;
   mutable std::uint64_t touchSeq_ = 0;
-  mutable std::size_t rowCacheBytes_ = 0;  // rows_ only, excludes full_
+  mutable std::size_t rowCacheBytes_ = 0;  // rows_ only
   mutable std::vector<std::uint8_t> rowRequested_;  // dedup for rowsTouched
   mutable std::size_t rowsTouched_ = 0;
   // Rows evicted while a lease was outstanding: still resident (spans may
   // point into them), freed when the last lease goes away.
   mutable std::vector<std::shared_ptr<const std::vector<double>>> retired_;
   mutable std::atomic<int> leases_{0};
-
-  mutable std::mutex fullMu_;
-  mutable std::unique_ptr<const DistanceMatrix> full_;
 
   mutable std::atomic<std::size_t> bytes_{0};
 
@@ -349,7 +339,7 @@ AutoPolicyDecision autoRevalidateBackend(int nodeCount,
                                          std::string_view currentBackend,
                                          const OracleStats& measured);
 
-/// Backend factory honoring Auto selection. `landmarks`/`threads` feed the
+/// Backend factory honoring Auto selection. `landmarks` feeds the
 /// pair-centric config; the dense path runs APSP with `threads` workers.
 /// `rowBudgetBytes` caps the pair-centric row cache (0 = unbounded;
 /// defaults to the MSC_ORACLE_ROWS_MB environment knob).

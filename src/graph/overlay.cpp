@@ -10,18 +10,6 @@ namespace msc::graph {
 OverlayEvaluator::OverlayEvaluator(const DistanceOracle& oracle,
                                    std::vector<NodeId> terminals)
     : oracle_(&oracle), terminals_(std::move(terminals)) {
-  indexTerminals();
-}
-
-OverlayEvaluator::OverlayEvaluator(const DistanceMatrix& base,
-                                   std::vector<NodeId> terminals)
-    : matrixAdapter_(std::make_unique<DenseMatrixOracle>(base)),
-      oracle_(matrixAdapter_.get()),
-      terminals_(std::move(terminals)) {
-  indexTerminals();
-}
-
-void OverlayEvaluator::indexTerminals() {
   std::sort(terminals_.begin(), terminals_.end());
   terminals_.erase(std::unique(terminals_.begin(), terminals_.end()),
                    terminals_.end());

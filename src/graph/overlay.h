@@ -10,7 +10,6 @@
 // shortcut edges. The overlay has O(m + k) nodes regardless of n.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -23,7 +22,7 @@ namespace msc::graph {
 /// Precomputes terminal indexing against a distance oracle; then answers
 /// pair-distance queries under arbitrary shortcut sets.
 ///
-/// The oracle (or matrix) must outlive the evaluator.
+/// The oracle must outlive the evaluator.
 class OverlayEvaluator {
  public:
   /// `terminals` are the nodes whose pairwise distances will be queried
@@ -31,10 +30,6 @@ class OverlayEvaluator {
   /// pairDistances() need not be listed; their distance rows are pulled
   /// from the oracle on demand (and cached there on lazy backends).
   OverlayEvaluator(const DistanceOracle& oracle, std::vector<NodeId> terminals);
-
-  /// Compatibility constructor: wraps the matrix in a non-owning dense
-  /// oracle. The matrix must outlive the evaluator.
-  OverlayEvaluator(const DistanceMatrix& base, std::vector<NodeId> terminals);
 
   /// Exact distances in G ∪ shortcuts for each query pair. Query endpoints
   /// must be terminals given at construction; shortcut endpoints may be any
@@ -50,9 +45,6 @@ class OverlayEvaluator {
       double threshold) const;
 
  private:
-  void indexTerminals();
-
-  std::unique_ptr<DenseMatrixOracle> matrixAdapter_;  // compat ctor only
   const DistanceOracle* oracle_;
   std::vector<NodeId> terminals_;        // deduplicated, sorted
   std::vector<int> terminalIndex_;       // node -> overlay slot or -1

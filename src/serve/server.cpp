@@ -1322,11 +1322,11 @@ int Server::startMetricsHttp(int port) {
   metricsHttpFd_ = fd;
   metricsHttpThread_ = std::thread([this, fd] {
     obs::trace::setCurrentThreadName("serve.metrics_http");
-    const auto stop = [this] {
-      return metricsHttpStop_.load(std::memory_order_acquire) ||
-             shutdownRequested();
-    };
-    while (!stop()) {
+    // Runs through a shutdown drain so probes see 503 "draining"; only
+    // stopMetricsHttp() ends it, which also closes the listening socket.
+    // Exiting on the shutdown flag instead would leave the socket open
+    // with nobody accepting, and a probe connecting then would hang.
+    while (!metricsHttpStop_.load(std::memory_order_acquire)) {
       struct pollfd pfd {fd, POLLIN, 0};
       const int pr = ::poll(&pfd, 1, 200);
       if (pr < 0 && errno != EINTR) break;

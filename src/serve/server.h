@@ -225,7 +225,7 @@ class Server {
   ///   GET /healthz -> 200 "ok" while ready, 503 "draining" afterwards
   /// Returns the bound port; throws std::runtime_error on bind failure.
   /// Stopped (thread joined, socket closed) by stopMetricsHttp() or the
-  /// destructor; also exits by itself once shutdown is requested.
+  /// destructor; it keeps answering while a requested shutdown drains.
   int startMetricsHttp(int port);
   void stopMetricsHttp();
 

@@ -9,13 +9,15 @@
 
 namespace {
 
+using msc::graph::DenseMatrixOracle;
 using msc::graph::kInfDist;
 using msc::graph::OverlayEvaluator;
 
 TEST(Overlay, NoShortcutsReturnsBaseDistances) {
   const auto g = msc::test::lineGraph(6);
   const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 3, 5});
+  const DenseMatrixOracle oracle(d);
+  OverlayEvaluator overlay(oracle, {0, 3, 5});
   const auto dists = overlay.pairDistances({{0, 3}, {3, 5}, {0, 5}}, {});
   EXPECT_DOUBLE_EQ(dists[0], 3.0);
   EXPECT_DOUBLE_EQ(dists[1], 2.0);
@@ -25,7 +27,8 @@ TEST(Overlay, NoShortcutsReturnsBaseDistances) {
 TEST(Overlay, ShortcutEndpointsNeedNotBeTerminals) {
   const auto g = msc::test::lineGraph(10);
   const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 9});
+  const DenseMatrixOracle oracle(d);
+  OverlayEvaluator overlay(oracle, {0, 9});
   // Shortcut between interior nodes 1 and 8.
   const auto dists = overlay.pairDistances({{0, 9}}, {{1, 8}});
   EXPECT_DOUBLE_EQ(dists[0], 2.0);  // 0-1 (1) + shortcut (0) + 8-9 (1)
@@ -34,7 +37,8 @@ TEST(Overlay, ShortcutEndpointsNeedNotBeTerminals) {
 TEST(Overlay, MultiShortcutChaining) {
   const auto g = msc::test::lineGraph(12);
   const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 11});
+  const DenseMatrixOracle oracle(d);
+  OverlayEvaluator overlay(oracle, {0, 11});
   // Chain: 0 ->1 =>4 ->5 =>10 ->11 uses BOTH shortcuts: length 3.
   const auto dists = overlay.pairDistances({{0, 11}}, {{1, 4}, {5, 10}});
   EXPECT_DOUBLE_EQ(dists[0], 3.0);
@@ -43,22 +47,25 @@ TEST(Overlay, MultiShortcutChaining) {
 TEST(Overlay, NonTerminalQueryThrows) {
   const auto g = msc::test::lineGraph(5);
   const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 4});
+  const DenseMatrixOracle oracle(d);
+  OverlayEvaluator overlay(oracle, {0, 4});
   EXPECT_THROW(overlay.pairDistances({{0, 2}}, {}), std::invalid_argument);
 }
 
 TEST(Overlay, InvalidNodesThrow) {
   const auto g = msc::test::lineGraph(5);
   const auto d = msc::graph::allPairsDistances(g);
-  EXPECT_THROW(OverlayEvaluator(d, {0, 7}), std::out_of_range);
-  OverlayEvaluator overlay(d, {0, 4});
+  const DenseMatrixOracle oracle(d);
+  EXPECT_THROW(OverlayEvaluator(oracle, {0, 7}), std::out_of_range);
+  OverlayEvaluator overlay(oracle, {0, 4});
   EXPECT_THROW(overlay.pairDistances({{0, 4}}, {{0, 9}}), std::out_of_range);
 }
 
 TEST(Overlay, CountWithinThreshold) {
   const auto g = msc::test::lineGraph(8);
   const auto d = msc::graph::allPairsDistances(g);
-  OverlayEvaluator overlay(d, {0, 3, 7});
+  const DenseMatrixOracle oracle(d);
+  OverlayEvaluator overlay(oracle, {0, 3, 7});
   EXPECT_EQ(overlay.countWithinThreshold({{0, 3}, {0, 7}, {3, 7}}, {}, 3.5),
             1);
   EXPECT_EQ(
@@ -74,6 +81,7 @@ TEST_P(OverlayProperty, MatchesMatrixRelaxation) {
   const std::uint64_t seed = GetParam();
   const auto g = msc::test::randomGraph(35, 0.07, seed);
   const auto base = msc::graph::allPairsDistances(g);
+  const DenseMatrixOracle oracle(base);
   msc::util::Rng rng(seed ^ 0x0f0fULL);
 
   // Random terminals and shortcuts.
@@ -93,7 +101,7 @@ TEST_P(OverlayProperty, MatchesMatrixRelaxation) {
     msc::graph::applyZeroEdge(full, a, b);
   }
 
-  OverlayEvaluator overlay(base, terminals);
+  OverlayEvaluator overlay(oracle, terminals);
   std::vector<std::pair<msc::graph::NodeId, msc::graph::NodeId>> queries;
   for (std::size_t i = 0; i < terminals.size(); ++i) {
     for (std::size_t j = i + 1; j < terminals.size(); ++j) {
