@@ -95,7 +95,7 @@ void BM_OracleQuery(benchmark::State& state) {
   const auto graph =
       std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
   const msc::graph::PairCentricOracle oracle(
-      graph, msc::graph::PairCentricOracle::Config{8, 1});
+      graph, msc::graph::PairCentricOracle::Config{8});
   const int n = graph->nodeCount();
   int x = 0;
   for (auto _ : state) {
@@ -274,7 +274,7 @@ void runRegressionHarness() {
     const auto graph =
         std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
     const msc::graph::PairCentricOracle pc(
-        graph, msc::graph::PairCentricOracle::Config{8, 1});
+        graph, msc::graph::PairCentricOracle::Config{8});
     const int n = graph->nodeCount();
     harness.run("matrix_lookup", [&] {
       double sum = 0.0;

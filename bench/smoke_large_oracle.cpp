@@ -4,13 +4,15 @@
 // greedy k = 5 over the pair-node candidate universe, and fails the
 // process if peak RSS exceeds the budget — so a regression that sneaks a
 // matrix materialization back onto the solve path turns CI red instead of
-// silently OOMing real workloads.
+// silently OOMing real workloads. Each output line carries the wall
+// seconds of its phase (gen_s, prefetch_s, greedy_s).
 //
 // Knobs (env): MSC_SMOKE_NODES (default 50000), MSC_SMOKE_PAIRS (500),
 // MSC_SMOKE_RSS_MB (2048).
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -25,6 +27,12 @@
 #include "util/rng.h"
 
 namespace {
+
+double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 long peakRssMb() {
   struct rusage ru {};
@@ -47,9 +55,11 @@ int main() {
   // connected w.h.p. but sparse enough that one Dijkstra row is cheap.
   cfg.radius = 0.01;
   cfg.seed = 1;
+  const auto genStart = std::chrono::steady_clock::now();
   auto net = msc::gen::randomGeometric(cfg);
-  std::printf("graph: n=%d m=%zu peak_rss=%ld MB\n", net.graph.nodeCount(),
-              net.graph.edgeCount(), peakRssMb());
+  std::printf("graph: n=%d m=%zu gen_s=%.3f peak_rss=%ld MB\n",
+              net.graph.nodeCount(), net.graph.edgeCount(),
+              secondsSince(genStart), peakRssMb());
 
   msc::util::Rng rng(7);
   std::vector<msc::core::SocialPair> pairs;
@@ -75,7 +85,9 @@ int main() {
     endpoints.push_back(p.u);
     endpoints.push_back(p.w);
   }
+  const auto prefetchStart = std::chrono::steady_clock::now();
   oracle->prefetchRows(endpoints, /*threads=*/0);
+  const double prefetchSeconds = secondsSince(prefetchStart);
   std::vector<double> finite;
   for (const auto& p : pairs) {
     const double d = oracle->distance(p.u, p.w);
@@ -86,9 +98,13 @@ int main() {
 
   const msc::core::Instance inst(graph, oracle, std::move(pairs), dt,
                                  /*threads=*/0);
-  std::printf("oracle: mode=%s resident=%zu MB d_t=%.4f peak_rss=%ld MB\n",
-              inst.distanceOracle().mode(),
-              inst.distanceOracle().residentBytes() >> 20, dt, peakRssMb());
+  std::printf(
+      "oracle: mode=%s row_builds=%llu prefetch_s=%.3f resident=%zu MB "
+      "d_t=%.4f peak_rss=%ld MB\n",
+      inst.distanceOracle().mode(),
+      static_cast<unsigned long long>(oracle->stats().rowBuilds),
+      prefetchSeconds,
+      inst.distanceOracle().residentBytes() >> 20, dt, peakRssMb());
 
   // The scalable candidate universe: shortcuts between pair endpoints
   // (the serve path does the same on this backend) — not all n*(n-1)/2.
@@ -105,13 +121,15 @@ int main() {
 
   msc::core::SigmaEvaluator sigma(inst);
   const double base = sigma.value({});
+  const auto greedyStart = std::chrono::steady_clock::now();
   const auto result = msc::core::greedyMaximize(
       sigma, cands, msc::core::SolveOptions{.k = 5, .threads = 0});
+  const double greedySeconds = secondsSince(greedyStart);
   const long rss = peakRssMb();
   std::printf(
-      "greedy: k=5 candidates=%zu sigma %.0f -> %.0f peak_rss=%ld MB "
-      "(budget %ld MB)\n",
-      cands.size(), base, result.value, rss, rssBudgetMb);
+      "greedy: k=5 candidates=%zu sigma %.0f -> %.0f greedy_s=%.3f "
+      "peak_rss=%ld MB (budget %ld MB)\n",
+      cands.size(), base, result.value, greedySeconds, rss, rssBudgetMb);
 
   bool ok = true;
   if (result.value < base) {

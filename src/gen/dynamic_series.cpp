@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "gen/unit_disk.h"
+
 namespace msc::gen {
 
 std::vector<SpatialNetwork> buildDynamicSeries(
@@ -22,15 +24,8 @@ std::vector<SpatialNetwork> buildDynamicSeries(
     SpatialNetwork net;
     net.graph = msc::graph::Graph(n);
     net.positions.assign(snapshot.begin(), snapshot.begin() + n);
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        const double d = euclidean(net.positions[static_cast<std::size_t>(i)],
-                                   net.positions[static_cast<std::size_t>(j)]);
-        if (d < config.radioRangeMeters) {
-          net.graph.addEdge(i, j, config.failure.lengthAt(d));
-        }
-      }
-    }
+    addUnitDiskEdges(net.graph, net.positions, config.radioRangeMeters,
+                     config.failure);
     series.push_back(std::move(net));
   }
   return series;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "gen/unit_disk.h"
 #include "util/rng.h"
 
 namespace msc::gen {
@@ -60,15 +61,8 @@ SpatialNetwork gowallaLike(const GowallaConfig& config) {
          clamp01Area(rng.gaussian(venues[venue].y, config.userSpreadMeters))});
   }
 
-  for (int i = 0; i < config.users; ++i) {
-    for (int j = i + 1; j < config.users; ++j) {
-      const double d = euclidean(net.positions[static_cast<std::size_t>(i)],
-                                 net.positions[static_cast<std::size_t>(j)]);
-      if (d < config.connectRadiusMeters) {
-        net.graph.addEdge(i, j, config.failure.lengthAt(d));
-      }
-    }
-  }
+  addUnitDiskEdges(net.graph, net.positions, config.connectRadiusMeters,
+                   config.failure);
   return net;
 }
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "gen/unit_disk.h"
 #include "graph/components.h"
 #include "util/rng.h"
 
@@ -21,15 +22,7 @@ SpatialNetwork randomGeometric(const RandomGeometricConfig& config) {
   for (int i = 0; i < config.nodes; ++i) {
     net.positions.push_back({rng.uniform(), rng.uniform()});
   }
-  for (int i = 0; i < config.nodes; ++i) {
-    for (int j = i + 1; j < config.nodes; ++j) {
-      const double d = euclidean(net.positions[static_cast<std::size_t>(i)],
-                                 net.positions[static_cast<std::size_t>(j)]);
-      if (d < config.radius) {
-        net.graph.addEdge(i, j, config.failure.lengthAt(d));
-      }
-    }
-  }
+  addUnitDiskEdges(net.graph, net.positions, config.radius, config.failure);
   return net;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "graph/dijkstra.h"
 #include "obs/metrics.h"
@@ -21,8 +22,7 @@ DistanceMatrix allPairsDistances(const Graph& g, int threads) {
   msc::util::parallelForThreads(
       threads, 0, n, 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
-          const auto tree = dijkstra(g, static_cast<NodeId>(s));
-          for (std::size_t v = 0; v < n; ++v) d(s, v) = tree.dist[v];
+          dijkstraRow(g, static_cast<NodeId>(s), std::span(d.row(s), n));
         }
       });
   // Runs from different sources sum edge lengths in different orders and

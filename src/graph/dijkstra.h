@@ -1,7 +1,9 @@
 // Dijkstra shortest paths on the base graph.
 //
-// Three variants cover the library's needs:
-//   * full single-source distances (APSP precomputation),
+// Four variants cover the library's needs:
+//   * a distance-only row kernel (APSP, distance-oracle rows): indexed
+//     4-ary heap with decrease-key, no parent array, per-thread scratch,
+//   * full single-source tree (routing, disjoint paths),
 //   * bounded search that never expands beyond a distance limit (the MSC
 //     distance requirement d_t makes most queries short-range),
 //   * point-to-point with target early exit (used by path reconstruction
@@ -9,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -22,7 +25,16 @@ struct ShortestPathTree {
   std::vector<NodeId> parent;
 };
 
-/// Full single-source Dijkstra from `source`.
+/// Distance-only single-source Dijkstra: writes d(source, v) into dist[v]
+/// (kInfDist if unreachable). Requires dist.size() == g.nodeCount().
+/// Allocates nothing after a thread's first call at this size: its heap
+/// scratch is per thread and reused. Bit-identical to
+/// dijkstra(g, source).dist, whatever order the heap settles ties in
+/// (docs/ALGORITHMS.md §19). Counts as one dijkstra.runs.
+void dijkstraRow(const Graph& g, NodeId source, std::span<double> dist);
+
+/// Full single-source Dijkstra from `source`. Parent ties break by the
+/// adjacency order the graph was built in.
 ShortestPathTree dijkstra(const Graph& g, NodeId source);
 
 /// Bounded Dijkstra: nodes at distance > limit are left at kInfDist

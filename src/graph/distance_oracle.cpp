@@ -217,7 +217,8 @@ void PairCentricOracle::selectLandmarks(int count) {
   std::vector<double> distToSet(static_cast<std::size_t>(n), kInfDist);
   NodeId next = 0;
   for (int pick = 0; pick < count; ++pick) {
-    auto row = dijkstra(*graph_, next).dist;
+    std::vector<double> row(static_cast<std::size_t>(n));
+    dijkstraRow(*graph_, next, row);
     for (std::size_t v = 0; v < row.size(); ++v) {
       distToSet[v] = std::min(distToSet[v], row[v]);
     }
@@ -258,7 +259,8 @@ void PairCentricOracle::noteRowTouchedLocked(NodeId v) const {
 
 std::vector<double> PairCentricOracle::buildRow(NodeId v) const {
   const std::int64_t t0 = steadyNowNs();
-  auto dist = dijkstra(*graph_, v).dist;
+  std::vector<double> dist(static_cast<std::size_t>(graph_->nodeCount()));
+  dijkstraRow(*graph_, v, dist);
   const std::int64_t dt = steadyNowNs() - t0;
   rowBuilds_.fetch_add(1, std::memory_order_relaxed);
   rowBuildNs_.fetch_add(static_cast<std::uint64_t>(dt),
@@ -433,7 +435,8 @@ void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
       threads, 0, need.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const std::int64_t t0 = steadyNowNs();
-          computed[i] = dijkstra(*graph_, need[i]).dist;
+          computed[i].resize(static_cast<std::size_t>(graph_->nodeCount()));
+          dijkstraRow(*graph_, need[i], computed[i]);
           buildNs[i] = steadyNowNs() - t0;
         }
       });

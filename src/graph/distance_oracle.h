@@ -220,9 +220,6 @@ class PairCentricOracle final : public DistanceOracle {
     /// Landmark count for ALT lower bounds. Clamped to [0, n]; 0 degrades
     /// point queries to plain bidirectional-free Dijkstra with early exit.
     int landmarks = 8;
-    /// Accepted for source compatibility and ignored: the oracle starts no
-    /// workers of its own (prefetchRows takes its thread count per call).
-    int threads = 1;
     /// Row-cache byte budget; 0 = unbounded. Landmark rows are pinned and
     /// count against the budget but are never evicted.
     std::size_t rowBudgetBytes = 0;

@@ -223,7 +223,7 @@ TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
   for (const int landmarks : {0, g.nodeCount(), g.nodeCount() + 5}) {
     SCOPED_TRACE(landmarks);
     PairCentricOracle oracle(shared,
-                             PairCentricOracle::Config{landmarks, 1});
+                             PairCentricOracle::Config{landmarks});
     EXPECT_LE(static_cast<int>(oracle.landmarks().size()), g.nodeCount());
     for (NodeId s = 0; s < g.nodeCount(); s += 5) {
       for (NodeId t = 0; t < g.nodeCount(); t += 3) {
@@ -246,7 +246,7 @@ TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
 TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
   const auto g = msc::test::randomGraph(40, 0.1, 33);
   const auto shared = std::make_shared<const Graph>(g);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
+  PairCentricOracle oracle(shared, PairCentricOracle::Config{4});
 
   // Pick query endpoints that are not landmarks, so neither row is cached
   // and distance() must take the ALT A* path.
@@ -259,7 +259,7 @@ TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
     if (isLandmark(s)) continue;
     for (NodeId t = s + 1; t < g.nodeCount() && checked < 12; t += 7) {
       if (isLandmark(t)) continue;
-      PairCentricOracle fresh(shared, PairCentricOracle::Config{4, 1});
+      PairCentricOracle fresh(shared, PairCentricOracle::Config{4});
       const double point = fresh.distance(s, t);
       // distance() normalizes to the row of min(s, t); the ALT result
       // must be bit-identical to that row's entry.

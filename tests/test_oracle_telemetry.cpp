@@ -120,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, TelemetryBitIdentity,
 TEST(OracleUsageCharging, BoundContextSeesQueryMix) {
   const auto g = msc::test::randomGraph(50, 0.1, 23);
   const auto shared = std::make_shared<const Graph>(g);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4, 1});
+  PairCentricOracle oracle(shared, PairCentricOracle::Config{4});
 
   msc::obs::RequestContext ctx("\"charge-test\"");
   {
@@ -179,9 +179,9 @@ TEST(OracleEviction, BoundedResidencyAndBitIdenticalRows) {
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
   const std::size_t budget = 8 * rowBytes;
 
-  PairCentricOracle unbounded(shared, PairCentricOracle::Config{4, 1});
+  PairCentricOracle unbounded(shared, PairCentricOracle::Config{4});
   PairCentricOracle budgeted(shared,
-                             PairCentricOracle::Config{4, 1, budget});
+                             PairCentricOracle::Config{4, budget});
   ASSERT_EQ(budgeted.rowBudgetBytes(), budget);
 
   std::size_t maxResident = 0;
@@ -217,7 +217,7 @@ TEST(OracleEviction, RematerializedRowBitIdentical) {
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
   PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{2, 1, 4 * rowBytes});
+      shared, PairCentricOracle::Config{2, 4 * rowBytes});
 
   const NodeId v = 55;
   const auto first = oracle.distancesFrom(v);
@@ -245,7 +245,7 @@ TEST(OracleEviction, LeaseParksEvictedRowsUntilReleased) {
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
   PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{2, 1, 3 * rowBytes});
+      shared, PairCentricOracle::Config{2, 3 * rowBytes});
 
   auto lease = oracle.acquireRowLease();
   ASSERT_NE(lease, nullptr);
@@ -326,8 +326,8 @@ TEST(OracleEviction, ConcurrentQueriesUnderBudgetStayCorrect) {
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
   PairCentricOracle budgeted(shared,
-                             PairCentricOracle::Config{2, 1, 4 * rowBytes});
-  PairCentricOracle reference(shared, PairCentricOracle::Config{2, 1});
+                             PairCentricOracle::Config{2, 4 * rowBytes});
+  PairCentricOracle reference(shared, PairCentricOracle::Config{2});
   for (NodeId v = 0; v < g.nodeCount(); ++v) (void)reference.distancesFrom(v);
 
   std::atomic<int> mismatches{0};
