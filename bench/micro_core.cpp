@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the evaluation hot paths:
 // sigma strategies (matrix vs overlay vs rebuild), the zero-edge
-// relaxation, per-candidate marginal gains, APSP, and one greedy round.
+// relaxation, per-candidate marginal gains, APSP, and one greedy round;
+// the regression harness also times the Monte-Carlo frontier's layers.
 // These back DESIGN.md's "evaluator strategy" ablation: which exact sigma
 // strategy wins at which (n, m, |F|) regime.
 #include <benchmark/benchmark.h>
@@ -17,6 +18,8 @@
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "harness.h"
+#include "mc/reliability.h"
+#include "mc/world_sampler.h"
 #include "obs/metrics.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -302,6 +305,36 @@ void runRegressionHarness() {
     harness.run("sigma_gain_scan", [&] {
       SigmaEvaluator eval(spatial.instance);
       eval.reset();
+      double best = 0.0;
+      for (std::size_t c = 0; c < cands.size(); ++c) {
+        best = std::max(best, eval.gainIfAdd(cands[c]));
+      }
+      benchmark::DoNotOptimize(best);
+    });
+  }
+
+  {
+    // The MC frontier's layers on the Gowalla-like network (n = 134) at
+    // W = 1024: world sampling, the per-source BFS sweep behind reset(),
+    // and one gain scan over every node pair as a candidate.
+    msc::eval::GowallaSetup setup;
+    setup.pairs = 8;
+    setup.failureThreshold = 0.05;
+    const auto spatial = msc::eval::makeGowallaInstance(setup);
+    const Instance& inst = spatial.instance;
+    const msc::mc::WorldConfig worldConfig{.worlds = 1024, .seed = 1};
+    harness.run("mc_sample_w1024", [&] {
+      const msc::mc::WorldSet worlds(inst.graph(), worldConfig);
+      benchmark::DoNotOptimize(worlds.edgePlane(0).count());
+    });
+    const msc::mc::WorldSet worlds(inst.graph(), worldConfig);
+    msc::mc::ReliabilityEvaluator eval(inst, worlds);
+    harness.run("mc_reset_w1024", [&] {
+      eval.reset();
+      benchmark::DoNotOptimize(eval.maintainedCount());
+    });
+    const auto cands = CandidateSet::allPairs(inst.graph().nodeCount());
+    harness.run("mc_gain_scan_w1024", [&] {
       double best = 0.0;
       for (std::size_t c = 0; c < cands.size(); ++c) {
         best = std::max(best, eval.gainIfAdd(cands[c]));

@@ -1,11 +1,11 @@
 #include "mc/reliability.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -16,23 +16,6 @@ namespace msc::mc {
 namespace {
 
 using msc::graph::NodeId;
-using msc::util::Bitset;
-
-/// reach[y] |= reach[x] & plane; returns whether any world was added.
-/// A null plane is the always-up shortcut plane.
-bool relaxInto(const Bitset& rx, const Bitset* plane, Bitset& ry) {
-  bool changed = false;
-  const std::size_t nw = rx.wordCount();
-  for (std::size_t w = 0; w < nw; ++w) {
-    const std::uint64_t gate = plane ? plane->word(w) : ~0ULL;
-    const std::uint64_t add = rx.word(w) & gate & ~ry.word(w);
-    if (add != 0) {
-      ry.setWord(w, ry.word(w) | add);
-      changed = true;
-    }
-  }
-  return changed;
-}
 
 double secondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -56,36 +39,28 @@ ReliabilityEvaluator::ReliabilityEvaluator(const core::Instance& instance,
   adjacency_.resize(n);
   const auto edges = g.edges();
   for (std::size_t e = 0; e < edges.size(); ++e) {
-    const Bitset* plane = &worlds.edgePlane(e);
+    const std::uint64_t* plane = worlds.edgePlane(e).words().data();
     adjacency_[static_cast<std::size_t>(edges[e].u)].push_back(
         {edges[e].v, plane});
     adjacency_[static_cast<std::size_t>(edges[e].v)].push_back(
         {edges[e].u, plane});
   }
 
-  // Reachability in an undirected world is symmetric, so one BFS source per
-  // distinct min-endpoint covers every pair that shares it.
-  const auto& pairs = instance.pairs();
-  pairSource_.resize(pairs.size());
-  pairTarget_.resize(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const NodeId s = std::min(pairs[i].u, pairs[i].w);
-    const NodeId t = std::max(pairs[i].u, pairs[i].w);
+  // One BFS source per distinct pair endpoint: gainIfAdd needs both R_u
+  // and R_w of every pair.
+  const auto sourceOf = [this](NodeId x) {
     std::size_t si = 0;
-    for (; si < sources_.size(); ++si) {
-      if (sources_[si].source == s) break;
-    }
-    if (si == sources_.size()) {
-      sources_.push_back({s, {}});
-    }
-    pairSource_[i] = si;
-    pairTarget_[i] = t;
+    while (si < sources_.size() && sources_[si].source != x) ++si;
+    if (si == sources_.size()) sources_.push_back({x, {}});
+    return si;
+  };
+  for (const core::SocialPair& p : instance.pairs()) {
+    pairSources_.push_back({sourceOf(p.u), sourceOf(p.w)});
   }
-  const auto w = static_cast<std::size_t>(worlds.worlds());
-  for (auto& sr : sources_) {
-    sr.planes.assign(n, Bitset(w));
-  }
-  reachCount_.assign(pairs.size(), 0);
+  words_ = (static_cast<std::size_t>(worlds.worlds()) + 63) / 64;
+  for (auto& sr : sources_) sr.planes.resize(n * words_);
+  queued_.assign(n, 0);
+  reachCount_.assign(pairSources_.size(), 0);
 
   // Maintained iff R̂ >= 1 - p_t, as an integer world-count threshold.
   // The epsilon keeps an exactly-at-threshold count qualifying despite
@@ -108,10 +83,16 @@ void ReliabilityEvaluator::reset() {
   }
   placement_.clear();
 
+  // The source reaches itself in all W worlds; tail bits past W stay zero,
+  // and every relax ANDs with a reach plane, so they stay zero everywhere.
+  const std::size_t tail = static_cast<std::size_t>(worlds_->worlds()) % 64;
   const auto start = std::chrono::steady_clock::now();
   for (auto& sr : sources_) {
-    for (auto& plane : sr.planes) plane.clear();
-    sr.planes[static_cast<std::size_t>(sr.source)].setAll();
+    std::fill(sr.planes.begin(), sr.planes.end(), 0);
+    std::uint64_t* own =
+        sr.planes.data() + static_cast<std::size_t>(sr.source) * words_;
+    std::fill(own, own + words_, ~0ULL);
+    if (tail != 0) own[words_ - 1] = (1ULL << tail) - 1;
     propagate(sr, {sr.source});
   }
   recordFrontierSeconds(secondsSince(start));
@@ -119,26 +100,40 @@ void ReliabilityEvaluator::reset() {
 }
 
 void ReliabilityEvaluator::propagate(SourceReach& sr,
-                                     const std::vector<NodeId>& seeds) {
-  std::vector<std::uint8_t> queued(adjacency_.size(), 0);
-  std::vector<NodeId> frontier;
+                                     std::initializer_list<NodeId> seeds) {
   for (const NodeId s : seeds) {
-    if (!queued[static_cast<std::size_t>(s)]) {
-      queued[static_cast<std::size_t>(s)] = 1;
-      frontier.push_back(s);
+    if (!queued_[static_cast<std::size_t>(s)]) {
+      queued_[static_cast<std::size_t>(s)] = 1;
+      frontier_.push_back(s);
     }
   }
-  while (!frontier.empty()) {
-    const NodeId x = frontier.back();
-    frontier.pop_back();
-    queued[static_cast<std::size_t>(x)] = 0;
-    const Bitset& rx = sr.planes[static_cast<std::size_t>(x)];
+  std::uint64_t* const planes = sr.planes.data();
+  const std::size_t nw = words_;
+  while (!frontier_.empty()) {
+    const NodeId x = frontier_.back();
+    frontier_.pop_back();
+    queued_[static_cast<std::size_t>(x)] = 0;
+    const std::uint64_t* rx = planes + static_cast<std::size_t>(x) * nw;
     for (const OutArc& arc : adjacency_[static_cast<std::size_t>(x)]) {
-      Bitset& ry = sr.planes[static_cast<std::size_t>(arc.to)];
-      if (relaxInto(rx, arc.plane, ry) &&
-          !queued[static_cast<std::size_t>(arc.to)]) {
-        queued[static_cast<std::size_t>(arc.to)] = 1;
-        frontier.push_back(arc.to);
+      // reach[y] |= reach[x] & plane & ~reach[y], 64 worlds per word.
+      std::uint64_t* ry = planes + static_cast<std::size_t>(arc.to) * nw;
+      std::uint64_t changed = 0;
+      if (arc.plane != nullptr) {
+        for (std::size_t w = 0; w < nw; ++w) {
+          const std::uint64_t add = rx[w] & arc.plane[w] & ~ry[w];
+          ry[w] |= add;
+          changed |= add;
+        }
+      } else {
+        for (std::size_t w = 0; w < nw; ++w) {
+          const std::uint64_t add = rx[w] & ~ry[w];
+          ry[w] |= add;
+          changed |= add;
+        }
+      }
+      if (changed != 0 && !queued_[static_cast<std::size_t>(arc.to)]) {
+        queued_[static_cast<std::size_t>(arc.to)] = 1;
+        frontier_.push_back(arc.to);
       }
     }
   }
@@ -152,12 +147,6 @@ void ReliabilityEvaluator::recordFrontierSeconds(double seconds) {
   frontierHist.record(seconds);
 }
 
-void ReliabilityEvaluator::rebuildFrom(const std::vector<NodeId>& seeds) {
-  const auto start = std::chrono::steady_clock::now();
-  for (auto& sr : sources_) propagate(sr, seeds);
-  recordFrontierSeconds(secondsSince(start));
-}
-
 void ReliabilityEvaluator::add(const core::Shortcut& f) {
   instance_->graph().checkNode(f.a);
   instance_->graph().checkNode(f.b);
@@ -166,7 +155,9 @@ void ReliabilityEvaluator::add(const core::Shortcut& f) {
   adjacency_[static_cast<std::size_t>(f.b)].push_back({f.a, nullptr});
   // Reachability only grows when an edge is added, so propagating from the
   // new endpoints alone reaches the monotone fixpoint.
-  rebuildFrom({f.a, f.b});
+  const auto start = std::chrono::steady_clock::now();
+  for (auto& sr : sources_) propagate(sr, {f.a, f.b});
+  recordFrontierSeconds(secondsSince(start));
   refreshCounts();
   reportProgress();
 }
@@ -212,10 +203,13 @@ void ReliabilityEvaluator::reportProgress() const {
 void ReliabilityEvaluator::refreshCounts() {
   totalReached_ = 0;
   maintained_ = 0;
+  const auto& pairs = instance_->pairs();
   for (std::size_t i = 0; i < reachCount_.size(); ++i) {
-    const auto& sr = sources_[pairSource_[i]];
-    const std::size_t c =
-        sr.planes[static_cast<std::size_t>(pairTarget_[i])].count();
+    const std::uint64_t* uw = reach(pairSources_[i].u, pairs[i].w);
+    std::size_t c = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      c += static_cast<std::size_t>(std::popcount(uw[w]));
+    }
     reachCount_[i] = c;
     totalReached_ += c;
     if (c >= minCount_) ++maintained_;
@@ -234,77 +228,32 @@ double ReliabilityEvaluator::gainIfAdd(const core::Shortcut& f) const {
   instance_->graph().checkNode(f.a);
   instance_->graph().checkNode(f.b);
 
-  std::size_t newTotal = totalReached_;
-  int newMaintained = maintained_;
-
-  // Per-source copy-on-write overlay: only planes the trial shortcut
-  // actually changes are copied, everything else reads shared state, so
-  // concurrent gain scans over different candidates never interfere.
-  std::unordered_map<NodeId, Bitset> mod;
-  std::vector<NodeId> frontier;
-  std::vector<std::uint8_t> queued(adjacency_.size(), 0);
-  for (std::size_t si = 0; si < sources_.size(); ++si) {
-    const auto& sr = sources_[si];
-    mod.clear();
-    const auto cur = [&](NodeId x) -> const Bitset& {
-      const auto it = mod.find(x);
-      return it != mod.end() ? it->second
-                             : sr.planes[static_cast<std::size_t>(x)];
-    };
-    const auto relaxTrial = [&](NodeId from, NodeId to) {
-      const Bitset& rx = cur(from);
-      const Bitset& ryShared = cur(to);
-      // Copy on first change only.
-      Bitset scratch = ryShared;
-      if (relaxInto(rx, nullptr, scratch)) {
-        mod[to] = std::move(scratch);
-        if (!queued[static_cast<std::size_t>(to)]) {
-          queued[static_cast<std::size_t>(to)] = 1;
-          frontier.push_back(to);
-        }
-      }
-    };
-    frontier.clear();
-    std::fill(queued.begin(), queued.end(), 0);
-    relaxTrial(f.a, f.b);
-    relaxTrial(f.b, f.a);
-    while (!frontier.empty()) {
-      const NodeId x = frontier.back();
-      frontier.pop_back();
-      queued[static_cast<std::size_t>(x)] = 0;
-      for (const OutArc& arc : adjacency_[static_cast<std::size_t>(x)]) {
-        const Bitset& rx = cur(x);
-        const Bitset& ry = cur(arc.to);
-        Bitset scratch = ry;
-        if (relaxInto(rx, arc.plane, scratch)) {
-          mod[arc.to] = std::move(scratch);
-          if (!queued[static_cast<std::size_t>(arc.to)]) {
-            queued[static_cast<std::size_t>(arc.to)] = 1;
-            frontier.push_back(arc.to);
-          }
-        }
-      }
-      // The trial shortcut participates in further propagation too: worlds
-      // that newly reach one endpoint cross to the other.
-      if (x == f.a) relaxTrial(f.a, f.b);
-      if (x == f.b) relaxTrial(f.b, f.a);
+  const bool hard = objective_ == Objective::MaintainedCount;
+  const auto all = static_cast<std::size_t>(worlds_->worlds());
+  const auto& pairs = instance_->pairs();
+  std::size_t added = 0;  // worlds newly connected, summed over pairs
+  int newlyMaintained = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const std::size_t before = reachCount_[i];
+    // Nothing to gain: connected in every world, or (σ̂) already counted.
+    if (before == all || (hard && before >= minCount_)) continue;
+    const PairSources& ps = pairSources_[i];
+    const std::uint64_t* uw = reach(ps.u, pairs[i].w);
+    const std::uint64_t* ua = reach(ps.u, f.a);
+    const std::uint64_t* ub = reach(ps.u, f.b);
+    const std::uint64_t* wa = reach(ps.w, f.a);
+    const std::uint64_t* wb = reach(ps.w, f.b);
+    std::size_t after = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      after += static_cast<std::size_t>(
+          std::popcount(uw[w] | (ua[w] & wb[w]) | (ub[w] & wa[w])));
     }
-
-    for (std::size_t i = 0; i < reachCount_.size(); ++i) {
-      if (pairSource_[i] != si) continue;
-      const auto it = mod.find(pairTarget_[i]);
-      if (it == mod.end()) continue;
-      const std::size_t c = it->second.count();
-      newTotal += c - reachCount_[i];
-      if (c >= minCount_ && reachCount_[i] < minCount_) ++newMaintained;
-    }
+    added += after - before;
+    if (after >= minCount_) ++newlyMaintained;  // under σ̂, before < minCount_
   }
 
-  if (objective_ == Objective::MaintainedCount) {
-    return static_cast<double>(newMaintained - maintained_);
-  }
-  return static_cast<double>(newTotal - totalReached_) /
-         static_cast<double>(worlds_->worlds());
+  if (hard) return static_cast<double>(newlyMaintained);
+  return static_cast<double>(added) / static_cast<double>(all);
 }
 
 double ReliabilityEvaluator::value(

@@ -9,7 +9,9 @@
 // this node") and runs a BFS fixpoint where relaxing an arc x→y is
 //     reach[y] |= reach[x] & plane(x, y)
 // — 64 worlds per word instruction. Placement shortcuts have failure
-// probability 0, so their plane is all-ones.
+// probability 0, so their plane is all-ones. Every pair endpoint is a
+// source, which makes the gain of a trial shortcut a closed form over
+// committed planes (see gainIfAdd).
 //
 // The maintained-count objective σ̂ = #{pairs : R̂ ≥ 1 − p_t} is the MC
 // analogue of sigma; the soft total-reliability objective Σ R̂ breaks σ̂'s
@@ -20,13 +22,13 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/set_function.h"
 #include "mc/world_sampler.h"
-#include "util/bitset.h"
 
 namespace msc::mc {
 
@@ -69,9 +71,11 @@ class ReliabilityEvaluator final : public core::SetFunction,
   // --- IncrementalEvaluator ---
   void reset() override;
   double currentValue() const override;
-  /// Thread-safe against concurrent gainIfAdd calls (the parallel gain
-  /// scan's requirement): propagates into a per-call overlay of changed
-  /// planes, never touching shared state.
+  /// Exact marginal gain of the always-up shortcut {a, b}. In every world
+  /// a simple u–w path crosses it at most once, so after the add u reaches
+  /// w in exactly R_u[w] | (R_u[a] & R_w[b]) | (R_u[b] & R_w[a]); the gain
+  /// is that popcount per pair over committed planes. No propagation, no
+  /// allocation and no shared writes, so concurrent calls are safe.
   double gainIfAdd(const core::Shortcut& f) const override;
   void add(const core::Shortcut& f) override;
 
@@ -97,20 +101,30 @@ class ReliabilityEvaluator final : public core::SetFunction,
  private:
   struct OutArc {
     msc::graph::NodeId to = 0;
-    /// Presence plane of the edge; nullptr means always-up (shortcut).
-    const msc::util::Bitset* plane = nullptr;
+    /// Presence-plane words of the edge; nullptr means always-up (shortcut).
+    const std::uint64_t* plane = nullptr;
   };
 
-  /// Reachability planes of one BFS source: planes[v] = worlds where the
-  /// source reaches v.
+  /// Reachability planes of one BFS source, flat: words
+  /// [v * words_, (v + 1) * words_) are the worlds where the source
+  /// reaches v.
   struct SourceReach {
     msc::graph::NodeId source = 0;
-    std::vector<msc::util::Bitset> planes;
+    std::vector<std::uint64_t> planes;
   };
 
+  /// Indices into sources_ of one pair's endpoints u and w.
+  struct PairSources {
+    std::size_t u = 0;
+    std::size_t w = 0;
+  };
+
+  /// The words_ words of sources_[s]'s plane for node v.
+  const std::uint64_t* reach(std::size_t s, msc::graph::NodeId v) const {
+    return sources_[s].planes.data() + static_cast<std::size_t>(v) * words_;
+  }
   void propagate(SourceReach& sr,
-                 const std::vector<msc::graph::NodeId>& seeds);
-  void rebuildFrom(const std::vector<msc::graph::NodeId>& seeds);
+                 std::initializer_list<msc::graph::NodeId> seeds);
   void refreshCounts();
   /// Offers an estimator-convergence snapshot (σ̂, uncertain pairs,
   /// half-width spread) to the bound ProgressReporter, if any.
@@ -122,10 +136,12 @@ class ReliabilityEvaluator final : public core::SetFunction,
   Objective objective_;
 
   std::vector<std::vector<OutArc>> adjacency_;  // base edges + added shortcuts
-  std::vector<SourceReach> sources_;
-  /// Pair i reads sources_[pairSource_[i]].planes[pairTarget_[i]].
-  std::vector<std::size_t> pairSource_;
-  std::vector<msc::graph::NodeId> pairTarget_;
+  std::size_t words_ = 0;  // ⌈W/64⌉ words per plane
+  std::vector<SourceReach> sources_;  // one per distinct pair endpoint
+  std::vector<PairSources> pairSources_;
+  // propagate() scratch, reused across calls.
+  std::vector<std::uint8_t> queued_;
+  std::vector<msc::graph::NodeId> frontier_;
 
   core::ShortcutList placement_;
   std::vector<std::size_t> reachCount_;  // per pair: worlds connected

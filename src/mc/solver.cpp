@@ -60,15 +60,18 @@ McSolveResult sandwich(const core::Instance& instance,
   const WorldSet worlds(instance.graph(),
                         {.worlds = mcOptions.worlds, .seed = options.seed});
 
+  // Contender 2: greedy on the plateau-free Σ R̂ surrogate. It runs first,
+  // in its own scope, so only one evaluator's planes are alive at a time.
+  core::GreedyResult softRun;
+  {
+    ReliabilityEvaluator soft(instance, worlds, Objective::TotalReliability);
+    softRun = core::greedyMaximize(soft, candidates, options);
+  }
+
   // Contender 1: greedy directly on σ̂.
   ReliabilityEvaluator hard(instance, worlds, Objective::MaintainedCount);
   const core::GreedyResult hardRun =
       core::greedyMaximize(hard, candidates, options);
-
-  // Contender 2: greedy on the plateau-free Σ R̂ surrogate.
-  ReliabilityEvaluator soft(instance, worlds, Objective::TotalReliability);
-  const core::GreedyResult softRun =
-      core::greedyMaximize(soft, candidates, options);
 
   // Contender 3: the paper's shortest-path sandwich placement.
   const core::SandwichResult surrogate =

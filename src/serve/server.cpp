@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
@@ -604,6 +605,24 @@ json::Object Engine::cmdSolve(const Request& request,
     }
     const int worlds = static_cast<int>(
         getIntParam(request, "worlds", 1024, 1, 1 << 20));
+    // Admission: one evaluator holds a ⌈W/64⌉-word plane per (pair
+    // endpoint, node) beside the WorldSet's one per edge. Refuse a W whose
+    // planes alone would overrun the cache budget (0 = unbounded).
+    const double planeBytes =
+        (static_cast<double>(inst.pairNodes().size()) *
+             static_cast<double>(inst.graph().nodeCount()) +
+         static_cast<double>(inst.graph().edgeCount())) *
+        static_cast<double>((worlds + 63) / 64) * 8.0;
+    if (config_.cacheBytes != 0 &&
+        planeBytes > static_cast<double>(config_.cacheBytes)) {
+      char msg[200];
+      std::snprintf(msg, sizeof msg,
+                    "mc_reliability plane memory estimate %.0f bytes exceeds "
+                    "the serve cache budget %zu bytes (MSC_SERVE_CACHE_MB); "
+                    "lower \"worlds\"",
+                    planeBytes, config_.cacheBytes);
+      throw ProtocolError(msg);
+    }
     const mc::McOptions mcOptions{.worlds = worlds};
     const mc::McSolveResult res =
         algo == "greedy" ? mc::greedy(inst, *cands, options, mcOptions)

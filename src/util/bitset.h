@@ -16,10 +16,8 @@ namespace msc::util {
 
 /// Fixed-size-at-construction bitset with the operations the coverage
 /// evaluators need: set/test, union-in-place, popcount, and "how many bits
-/// would a union add" without materializing it. The Monte-Carlo world
-/// planes (src/mc) additionally fold over raw words, so word-level access
-/// is part of the interface; unused bits of the last word are always zero
-/// (setWord enforces it), which count()/any() rely on.
+/// would a union add" without materializing it. Unused bits of the last
+/// word are always zero, which count()/any() rely on.
 class Bitset {
  public:
   static constexpr std::size_t kBitsPerWord = 64;
@@ -120,27 +118,9 @@ class Bitset {
     return bits_ == other.bits_ && words_ == other.words_;
   }
 
-  /// Raw word access for callers that fold over set bits (e.g. weighted
-  /// coverage gains).
+  /// Raw word access for callers that fold over set bits (weighted
+  /// coverage gains, the MC frontier's edge planes).
   const std::vector<std::uint64_t>& words() const noexcept { return words_; }
-
-  /// Number of 64-bit words backing the set: ceil(size() / 64).
-  std::size_t wordCount() const noexcept { return words_.size(); }
-
-  /// Word `w` (bits [64w, 64w + 63]). Bounds-checked like set/test.
-  std::uint64_t word(std::size_t w) const {
-    checkWordIndex(w);
-    return words_[w];
-  }
-
-  /// Replaces word `w` wholesale — the word-parallel write the MC frontier
-  /// propagation is built on (64 worlds per store). Bits beyond size() are
-  /// masked off so the zero-tail invariant behind count()/any() holds.
-  void setWord(std::size_t w, std::uint64_t value) {
-    checkWordIndex(w);
-    if (w + 1 == words_.size()) value &= tailMask();
-    words_[w] = value;
-  }
 
   /// Calls fn(bitIndex) for every bit set in `other` but not in *this.
   template <typename Fn>
@@ -159,11 +139,6 @@ class Bitset {
  private:
   void checkIndex(std::size_t i) const {
     if (i >= bits_) throw std::out_of_range("Bitset: index out of range");
-  }
-  void checkWordIndex(std::size_t w) const {
-    if (w >= words_.size()) {
-      throw std::out_of_range("Bitset: word index out of range");
-    }
   }
   /// Mask of the valid bits in the last word (all-ones when size() is a
   /// multiple of 64).

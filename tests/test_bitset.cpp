@@ -151,7 +151,7 @@ TEST(Bitset, SetAll) {
   EXPECT_EQ(b.count(), 70u);
   for (std::size_t i = 0; i < 70; ++i) EXPECT_TRUE(b.test(i));
   // Tail bits beyond size() stay zero so count()/any() remain exact.
-  EXPECT_EQ(b.word(1) >> 6, 0u);
+  EXPECT_EQ(b.words()[1] >> 6, 0u);
   b.clear();
   EXPECT_FALSE(b.any());
 }
@@ -160,34 +160,8 @@ TEST(Bitset, SetAllExactWordMultiple) {
   Bitset b(128);
   b.setAll();
   EXPECT_EQ(b.count(), 128u);
-  EXPECT_EQ(b.word(0), ~0ULL);
-  EXPECT_EQ(b.word(1), ~0ULL);
-}
-
-TEST(Bitset, WordAccess) {
-  Bitset b(100);
-  EXPECT_EQ(b.wordCount(), 2u);
-  b.set(0);
-  b.set(65);
-  EXPECT_EQ(b.word(0), 1ULL);
-  EXPECT_EQ(b.word(1), 2ULL);
-  b.setWord(0, 0xffULL);
-  EXPECT_EQ(b.count(), 8u + 1u);
-  EXPECT_TRUE(b.test(7));
-  EXPECT_FALSE(b.test(8));
-}
-
-TEST(Bitset, SetWordMasksTail) {
-  Bitset b(70);  // last word holds 6 valid bits
-  b.setWord(1, ~0ULL);
-  EXPECT_EQ(b.word(1), 0x3fULL);
-  EXPECT_EQ(b.count(), 6u);
-}
-
-TEST(Bitset, WordAccessOutOfRangeThrows) {
-  Bitset b(64);
-  EXPECT_THROW(b.word(1), std::out_of_range);
-  EXPECT_THROW(b.setWord(1, 0), std::out_of_range);
+  EXPECT_EQ(b.words()[0], ~0ULL);
+  EXPECT_EQ(b.words()[1], ~0ULL);
 }
 
 TEST(Bitset, Equality) {

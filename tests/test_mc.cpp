@@ -18,6 +18,7 @@
 #include "mc/reliability.h"
 #include "mc/solver.h"
 #include "mc/world_sampler.h"
+#include "reference/mc_gain.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -227,6 +228,93 @@ TEST(Reliability, CommonRandomNumbersMakeValuesMonotoneAcrossNestedSets) {
   }
 }
 
+TEST(Reliability, ClosedFormGainMatchesFreshEvaluatorReference) {
+  // Every candidate of every greedy round on seeded random graphs: the
+  // closed-form gain must equal counts(F ∪ {f}) − counts(F) scored from
+  // scratch. All node pairs are candidates, so the scan includes shortcuts
+  // that coincide with a pair, touch a pair endpoint, or duplicate a base
+  // edge or a committed shortcut; W covers full and partial last words.
+  using msc::test::reference::mcCounts;
+  const int worldCounts[] = {64, 71, 200, 1024};
+  int coincide = 0, touch = 0, dupEdge = 0, dupShortcut = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    msc::util::Rng rng(seed * 7919);
+    const int n = 8 + static_cast<int>(rng.below(7));
+    const Graph g = msc::test::randomGraph(n, 0.3, seed);
+    // Pairs 0 and 1 share endpoint x; the rest are random.
+    const auto node = [&] {
+      return static_cast<msc::graph::NodeId>(
+          rng.below(static_cast<std::uint64_t>(n)));
+    };
+    const msc::graph::NodeId x = node();
+    std::vector<SocialPair> pairs = {{x, (x + 1) % n}, {(x + 3) % n, x}};
+    while (pairs.size() < 4) {
+      const auto u = node(), w = node();
+      if (u != w) pairs.push_back({u, w});
+    }
+    const auto inst = Instance::fromFailureThreshold(g, pairs, 0.2);
+    const int w = worldCounts[seed % 4];
+    const WorldSet ws(g, {.worlds = w, .seed = seed});
+    const auto cands = CandidateSet::allPairs(n);
+
+    // Both objectives' gains are checked on every candidate; which one
+    // picks the round's shortcut alternates across seeds, for every W.
+    const Objective steer = (seed / 4) % 2 == 0 ? Objective::MaintainedCount
+                                                : Objective::TotalReliability;
+    ReliabilityEvaluator hard(inst, ws, Objective::MaintainedCount);
+    ReliabilityEvaluator soft(inst, ws, Objective::TotalReliability);
+    ShortcutList placement;
+    for (int round = 0; round < 4; ++round) {
+      const auto before = mcCounts(inst, ws, placement);
+      std::size_t best = 0;
+      double bestGain = -1.0;
+      for (std::size_t c = 0; c < cands.size(); ++c) {
+        const Shortcut& f = cands[c];
+        ShortcutList grown = placement;
+        grown.push_back(f);
+        const auto after = mcCounts(inst, ws, grown);
+        const double hardGain = hard.gainIfAdd(f);
+        const double softGain = soft.gainIfAdd(f);
+        ASSERT_EQ(hardGain,
+                  static_cast<double>(after.maintained - before.maintained))
+            << "seed " << seed << " round " << round << " f " << f.a
+            << "-" << f.b;
+        ASSERT_EQ(softGain,
+                  static_cast<double>(after.reachedWorlds -
+                                      before.reachedWorlds) /
+                      static_cast<double>(w))
+            << "seed " << seed << " round " << round << " f " << f.a
+            << "-" << f.b;
+        const double gain =
+            steer == Objective::MaintainedCount ? hardGain : softGain;
+        if (gain > bestGain) {
+          bestGain = gain;
+          best = c;
+        }
+        for (const SocialPair& p : pairs) {
+          if (f == Shortcut::make(p.u, p.w)) ++coincide;
+          if (f.a == p.u || f.a == p.w || f.b == p.u || f.b == p.w) {
+            ++touch;
+          }
+        }
+        if (g.hasEdge(f.a, f.b)) ++dupEdge;
+        if (msc::core::contains(placement, f)) ++dupShortcut;
+      }
+      // A flat round commits a random candidate so later rounds still
+      // start from varied placements.
+      const Shortcut pick =
+          bestGain > 0.0 ? cands[best] : cands[rng.below(cands.size())];
+      placement.push_back(pick);
+      hard.add(pick);
+      soft.add(pick);
+    }
+  }
+  EXPECT_GT(coincide, 0);
+  EXPECT_GT(touch, 0);
+  EXPECT_GT(dupEdge, 0);
+  EXPECT_GT(dupShortcut, 0);
+}
+
 // --------------------------------------------------- solver contracts ---
 
 TEST(McSolver, GreedyThreadsBitIdentity) {
@@ -375,6 +463,45 @@ TEST(McServe, SolveMcReliabilityMatchesDirectPath) {
         "\"objective\":\"mc_reliability\",\"algo\":\"ea\",\"k\":2}"));
     EXPECT_EQ(resp.find("status")->asString(), "error");
   }
+}
+
+TEST(McServe, RefusesWorldsWhosePlanesExceedTheCacheBudget) {
+  // 1 MB budget; 4 pairs over 24 nodes with 8 distinct endpoints: at
+  // W = 2^20 one evaluator's planes need (8 * 24 + m) * 16384 * 8 bytes
+  // (> 25 MB), at W = 512 a few KB.
+  const Graph g = msc::test::randomGraph(24, 0.15, 7);
+  msc::serve::Engine engine(msc::serve::EngineConfig{.cacheBytes = 1 << 20});
+  ASSERT_EQ(json::parse(engine.handleLine(
+                            "{\"cmd\":\"load_graph\",\"as\":\"g\",\"text\":\"" +
+                            jsonEscape(graphText(g)) + "\"}"))
+                .find("status")
+                ->asString(),
+            "ok");
+  ASSERT_EQ(json::parse(engine.handleLine(
+                            "{\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"" +
+                            jsonEscape("0 23\n1 21\n2 19\n3 17\n") + "\"}"))
+                .find("status")
+                ->asString(),
+            "ok");
+  const std::string solve =
+      "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.3,"
+      "\"objective\":\"mc_reliability\",\"algo\":\"greedy\",\"k\":2,"
+      "\"threads\":1,\"seed\":1,\"worlds\":";
+  const auto refused = json::parse(engine.handleLine(solve + "1048576}"));
+  ASSERT_EQ(refused.find("status")->asString(), "error");
+  const std::string error = refused.find("error")->asString();
+  EXPECT_NE(error.find("plane memory"), std::string::npos) << error;
+  EXPECT_NE(error.find("MSC_SERVE_CACHE_MB"), std::string::npos) << error;
+  const std::size_t estimate = (8 * 24 + g.edgeCount()) * 16384 * 8;
+  EXPECT_NE(error.find(std::to_string(estimate) + " bytes"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find(std::to_string(1 << 20) + " bytes"), std::string::npos)
+      << error;
+
+  // The engine keeps serving, and a small W passes admission.
+  const auto ok = json::parse(engine.handleLine(solve + "512}"));
+  EXPECT_EQ(ok.find("status")->asString(), "ok");
+  EXPECT_EQ(ok.find("worlds")->asNumber(), 512);
 }
 
 // ----------------------------------------------------------- edge cases ---

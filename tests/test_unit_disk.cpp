@@ -58,17 +58,21 @@ void expectMatchesReference(std::span<const Point> positions, double radius) {
 
 // ------------------------------------------------------------ RG
 
+// GoogleTest prints this struct's raw bytes into the listed test name, so
+// it must have no padding: a 4-byte `nodes` would leave 4 uninitialised
+// bytes in the name and make it differ between builds and runs.
 struct RgCase {
-  int nodes;
+  std::int64_t nodes;
   double radius;
 };
+static_assert(sizeof(RgCase) == sizeof(std::int64_t) + sizeof(double));
 
 class UnitDiskRg : public ::testing::TestWithParam<RgCase> {};
 
 TEST_P(UnitDiskRg, MatchesAllPairsReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     msc::gen::RandomGeometricConfig cfg;
-    cfg.nodes = GetParam().nodes;
+    cfg.nodes = static_cast<int>(GetParam().nodes);
     cfg.radius = GetParam().radius;
     cfg.seed = seed;
     const auto net = msc::gen::randomGeometric(cfg);
