@@ -527,13 +527,6 @@ int cmdVersion() {
             << "    the sampled multi-path maintained count (CLI: solve-mc; "
                "obs: mc.worlds\n"
             << "    counter, mc.frontier_seconds histogram);\n"
-            << "    metrics/GET /metrics export msc_serve_oracle_bytes{mode}, "
-               "msc_serve_oracle_rows{mode},\n"
-            << "    msc_serve_oracle_queries_total{mode,kind}, "
-               "msc_serve_oracle_row_builds_total{mode},\n"
-            << "    msc_serve_oracle_row_hits_total{mode}, "
-               "msc_serve_oracle_row_evictions_total{mode},\n"
-            << "    msc_serve_oracle_mode_switches_total\n"
             << "    knobs: MSC_ORACLE_ROWS_MB / serve --oracle-rows-mb "
                "(bounded oracle row cache,\n"
             << "    bit-identical results); distance_mode \"auto\" "
@@ -559,13 +552,29 @@ int cmdVersion() {
             << "    deadline_seconds/cancelled/progress{every_ms,snapshots,"
                "events}; stats gains\n"
             << "    progress{snapshots,events,last_rounds_per_second} and "
-               "cancellations{client,deadline};\n"
-            << "    metrics/GET /metrics export msc_serve_cancellations_total"
-               "{reason}, msc_serve_requests_inflight{phase},\n"
-            << "    msc_progress_snapshots_total, msc_progress_events_total, "
-               "msc_solver_rounds_per_second\n"
+               "cancellations{client,deadline}\n"
             << "  prometheus-text-0.0.4  metrics exposition (--metrics-prom, "
-               "serve `metrics` cmd, GET /metrics)\n";
+               "serve `metrics` cmd, GET /metrics)\n"
+            << "    serve families besides the registry's counters, stats "
+               "and histograms:\n";
+  // Read off a default Engine: its own registry and the global families
+  // it registers, i.e. exactly what a first scrape carries.
+  const msc::serve::Engine engine;
+  const msc::obs::Registry* registries[] = {&msc::obs::Registry::global(),
+                                            &engine.metrics()};
+  for (const msc::obs::Registry* registry : registries) {
+    for (const auto& row : registry->families()) {
+      const msc::obs::Family& family = *row.family;
+      std::cout << "      " << msc::obs::promFamilyName(family);
+      for (std::size_t i = 0; i < family.labels().size(); ++i) {
+        std::cout << (i == 0 ? '{' : ',') << family.labels()[i].name;
+      }
+      std::cout << (family.labels().empty() ? "" : "}") << ' '
+                << (family.type() == msc::obs::MetricType::Counter ? "counter"
+                                                                   : "gauge")
+                << '\n';
+    }
+  }
   return 0;
 }
 
@@ -619,12 +628,14 @@ int main(int argc, char** argv) {
       std::cout << "wrote trace to " << path << '\n';
     }
     // With MSC_METRICS=1 / MSC_TRACE=1 (and no explicit export) append the
-    // human-readable footers, mirroring the bench binaries.
+    // human-readable footers, mirroring the bench binaries. serve's stdout
+    // is its JSONL reply channel, so its footers go to stderr.
+    std::ostream& footer = cmd == "serve" ? std::cerr : std::cout;
     if (rc == 0 && !args.has("metrics-out")) {
-      msc::eval::printMetricsFooter(std::cout);
+      msc::eval::printMetricsFooter(footer);
     }
     if (rc == 0 && !args.has("trace-out")) {
-      msc::eval::printTraceFooter(std::cout);
+      msc::eval::printTraceFooter(footer);
     }
     return rc;
   } catch (const std::exception& e) {

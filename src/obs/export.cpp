@@ -86,11 +86,13 @@ void appendStatFields(std::ostream& os, const util::RunningStats& s) {
 
 void writeText(std::ostream& os, const Registry& registry) {
   const auto counters = registry.counters();
+  const auto gauges = registry.gauges();
   const auto stats = registry.stats();
   const auto histograms = registry.histograms();
 
   std::size_t width = 0;
   for (const auto& row : counters) width = std::max(width, row.name.size());
+  for (const auto& row : gauges) width = std::max(width, row.name.size());
   for (const auto& row : stats) width = std::max(width, row.name.size());
   for (const auto& row : histograms) width = std::max(width, row.name.size());
 
@@ -99,6 +101,13 @@ void writeText(std::ostream& os, const Registry& registry) {
     for (const auto& row : counters) {
       os << "  " << std::left << std::setw(static_cast<int>(width))
          << row.name << "  " << row.value << '\n';
+    }
+  }
+  if (!gauges.empty()) {
+    os << "gauges:\n";
+    for (const auto& row : gauges) {
+      os << "  " << std::left << std::setw(static_cast<int>(width))
+         << row.name << "  " << std::setprecision(6) << row.value << '\n';
     }
   }
   if (!stats.empty()) {
@@ -132,6 +141,7 @@ void writeText(std::ostream& os, const Registry& registry) {
 
 void writeJson(std::ostream& os, const Registry& registry) {
   const auto counters = registry.counters();
+  const auto gauges = registry.gauges();
   const auto stats = registry.stats();
   const auto histograms = registry.histograms();
 
@@ -149,6 +159,15 @@ void writeJson(std::ostream& os, const Registry& registry) {
     appendStatFields(os, stats[i].stats);
   }
   os << (stats.empty() ? "}" : "\n  }");
+  if (!gauges.empty()) {
+    os << ",\n  \"gauges\": {";
+    for (std::size_t i = 0; i < gauges.size(); ++i) {
+      if (i) os << ',';
+      os << "\n    \"" << jsonEscape(gauges[i].name) << "\": ";
+      appendNumber(os, gauges[i].value);
+    }
+    os << "\n  }";
+  }
   if (!histograms.empty()) {
     os << ",\n  \"histograms\": {";
     for (std::size_t i = 0; i < histograms.size(); ++i) {

@@ -11,26 +11,31 @@
 
 namespace msc::obs {
 
-/// Aligned text dump: every counter, then every stat with
-/// count/mean/min/max, then every histogram with count/p50/p90/p99/max.
+/// Aligned text dump: every counter sample, every gauge sample, then every
+/// stat with count/mean/min/max, then every histogram with
+/// count/p50/p90/p99/max. Labeled samples are keyed `name{k=v,...}`.
 /// Stats named "span.*" and all histograms hold seconds.
 void writeText(std::ostream& os, const Registry& registry);
 
 /// JSON document:
 ///   {
 ///     "schema": "msc.metrics.v1",
-///     "counters": {"dijkstra.runs": 12, ...},
+///     "counters": {"dijkstra.runs": 12,
+///                  "trace.dropped_events{lane=0,thread=main}": 0, ...},
 ///     "stats": {"span.sandwich.total":
 ///               {"count": 1, "total": 0.01, "mean": 0.01,
 ///                "min": 0.01, "max": 0.01, "stddev": 0.0}, ...},
+///     "gauges": {"solver.rounds_per_second": 812.5, ...},
 ///     "histograms": {"serve.request_seconds":
 ///                    {"count": 9, "sum": 0.2, "min": 0.01, "max": 0.05,
 ///                     "p50": 0.02, "p90": 0.04, "p99": 0.05}, ...}
 ///   }
-/// Empty stats/histograms emit only {"count": 0}; non-finite values render
-/// as null so the output is always standard JSON. The "histograms" key is
-/// omitted entirely when no histogram is registered, so pre-histogram
-/// msc.metrics.v1 consumers see an unchanged document.
+/// Counter and gauge entries are the registry's family samples
+/// (Registry::counters() / gauges()). Empty stats/histograms emit only
+/// {"count": 0}; non-finite values render as null so the output is always
+/// standard JSON. The "gauges" and "histograms" keys are omitted entirely
+/// when empty, so older msc.metrics.v1 consumers see an unchanged
+/// document.
 void writeJson(std::ostream& os, const Registry& registry);
 
 /// writeJson rendered into a string.

@@ -14,8 +14,8 @@
 //     ("progress.<solver>.value") and request-stamped instants, so a
 //     solve's convergence curve shows up in Perfetto and the slow-request
 //     flight recorder, and
-//   * feeds the process-wide counters behind `stats`/Prometheus
-//     (progressCounters()).
+//   * feeds the always-on global series behind `stats`/Prometheus
+//     (progressMetrics()).
 //
 // Reporting happens ON the solver thread and reads only state the solver
 // already computed for the round, so a bound reporter cannot perturb the
@@ -128,14 +128,20 @@ class ScopedProgressStage {
 /// Current thread's stage label ("" outside any ScopedProgressStage).
 const char* currentProgressStage() noexcept;
 
-/// Process-wide progress telemetry (always on, independent of
-/// obs::enabled()): backs `stats` fields and the msc_progress_* Prometheus
-/// series.
-struct ProgressCounters {
-  std::uint64_t snapshots = 0;      // offered across all reporters
-  std::uint64_t events = 0;         // delivered to sinks
-  double lastRoundsPerSecond = 0.0; // most recent non-zero observation
+class Counter;
+class Gauge;
+
+/// Always-on progress telemetry in the global registry (independent of
+/// obs::enabled()), registered at zero on first call: the
+/// "progress.snapshots" / "progress.events" counters and the
+/// "solver.rounds_per_second" gauge (msc_progress_*_total and
+/// msc_solver_rounds_per_second). The serve Engine calls it at
+/// construction so a first scrape already shows them.
+struct ProgressMetrics {
+  Counter& snapshots;       // offered across all reporters
+  Counter& events;          // delivered to sinks
+  Gauge& roundsPerSecond;   // most recent non-zero observation
 };
-ProgressCounters progressCounters() noexcept;
+const ProgressMetrics& progressMetrics();
 
 }  // namespace msc::obs

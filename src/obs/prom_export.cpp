@@ -7,8 +7,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/trace.h"
-
 namespace msc::obs {
 
 namespace {
@@ -34,13 +32,13 @@ std::string promName(const std::string& registryName) {
 
 // Label values allow any UTF-8 but \, " and newline must be escaped
 // (Prometheus text format 0.0.4).
-void appendLabelValue(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
+void appendLabelValue(std::ostream& os, const std::string& value) {
+  for (const char c : value) {
+    switch (c) {
       case '\\': os << "\\\\"; break;
       case '"': os << "\\\""; break;
       case '\n': os << "\\n"; break;
-      default: os << *s;
+      default: os << c;
     }
   }
 }
@@ -61,12 +59,33 @@ std::string promSanitizeName(std::string_view name) {
   return out;
 }
 
+std::string promFamilyName(const Family& family) {
+  return promName(family.name()) +
+         (family.type() == MetricType::Counter ? "_total" : "");
+}
+
 void writeProm(std::ostream& os, const Registry& registry) {
-  for (const auto& row : registry.counters()) {
-    const std::string name = promName(row.name) + "_total";
-    os << "# HELP " << name << " msc counter " << row.name << '\n';
-    os << "# TYPE " << name << " counter\n";
-    os << name << ' ' << row.value << '\n';
+  for (const auto& row : registry.families()) {
+    // A family with no samples (a collector with nothing to report) has
+    // nothing to declare either.
+    if (row.samples.empty()) continue;
+    const std::string name = promFamilyName(*row.family);
+    os << "# HELP " << name << ' ' << row.family->help() << '\n';
+    os << "# TYPE " << name << ' '
+       << (row.family->type() == MetricType::Counter ? "counter" : "gauge")
+       << '\n';
+    for (const Sample& sample : row.samples) {
+      os << name;
+      for (std::size_t i = 0; i < sample.labels.size(); ++i) {
+        os << (i == 0 ? '{' : ',') << sample.labels[i].first << "=\"";
+        appendLabelValue(os, sample.labels[i].second);
+        os << '"';
+      }
+      if (!sample.labels.empty()) os << '}';
+      os << ' ';
+      appendValue(os, sample.value);
+      os << '\n';
+    }
   }
 
   for (const auto& row : registry.stats()) {
@@ -118,26 +137,6 @@ void writeProm(std::ostream& os, const Registry& registry) {
     appendValue(os, snap.sum);
     os << '\n';
     os << name << "_count " << snap.count << '\n';
-  }
-
-  // Per-lane trace drop counters: silent ring-buffer loss (PR 3's per-lane
-  // `dropped`) made visible to monitoring. Emitted whenever any thread has
-  // ever recorded a trace event, zeros included, so a rate() query shows a
-  // flat 0 instead of an absent series until the first loss.
-  const std::vector<trace::LaneDropCount> drops = trace::laneDropCounts();
-  if (!drops.empty()) {
-    os << "# HELP msc_trace_dropped_events_total trace events overwritten "
-          "by ring-buffer wrap, per thread lane\n";
-    os << "# TYPE msc_trace_dropped_events_total counter\n";
-    for (const trace::LaneDropCount& lane : drops) {
-      os << "msc_trace_dropped_events_total{lane=\"" << lane.tid << '"';
-      if (lane.threadName != nullptr) {
-        os << ",thread=\"";
-        appendLabelValue(os, lane.threadName);
-        os << '"';
-      }
-      os << "} " << lane.dropped << '\n';
-    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Prometheus text-format (exposition format 0.0.4) renderer for the
-// metrics registry: counters, Welford stats as summaries with min/max
-// gauges, and log-linear histograms as classic `_bucket`/`_sum`/`_count`
-// series.
+// Prometheus text-format (exposition format 0.0.4) renderer for a metrics
+// registry: counter and gauge families with their labels, Welford stats as
+// summaries with min/max gauges, and log-linear histograms as classic
+// `_bucket`/`_sum`/`_count` series.
 //
 // Registry names like "serve.cache.apsp_hits" become valid Prometheus
 // metric names by sanitization (every character outside [a-zA-Z0-9_:] maps
@@ -25,8 +25,15 @@ namespace msc::obs {
 /// become '_', and a leading digit gets a '_' prefix. Empty input -> "_".
 std::string promSanitizeName(std::string_view name);
 
+/// Exposition name of a family: `msc_` + the sanitized registry name, plus
+/// `_total` for counters.
+std::string promFamilyName(const Family& family);
+
 /// Renders the whole registry in Prometheus text format:
-///   - Counter "x.y"     -> `msc_x_y_total` (TYPE counter)
+///   - Family "x.y"      -> `msc_x_y_total` (TYPE counter) or `msc_x_y`
+///                          (TYPE gauge), one sample per label set,
+///                          `{k="v",...}` with escaped values; families
+///                          without samples are skipped
 ///   - Stat "span.x"     -> `msc_span_x{_count,_sum}` (TYPE summary) plus
 ///                          `msc_span_x_min` / `_max` gauges (NaN when
 ///                          empty: Prometheus text allows non-finite

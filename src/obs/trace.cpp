@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 
+#include "obs/metrics.h"
 #include "util/env.h"
 
 namespace msc::obs::trace {
@@ -40,6 +41,24 @@ struct Global {
     const std::int64_t cap = util::envInt("MSC_TRACE_BUFFER", 16384);
     capacity.store(cap < 1 ? 1 : static_cast<std::size_t>(cap));
     epoch = std::chrono::steady_clock::now();
+    // Per-lane drop counters as an always-on global family: silent
+    // ring-buffer loss made visible to monitoring. Every lane that ever
+    // recorded an event reports, zeros included, so a rate() query shows
+    // a flat 0 instead of an absent series until the first loss.
+    Registry::global()
+        .family("trace.dropped_events", MetricType::Counter,
+                "trace events overwritten by ring-buffer wrap, per thread lane",
+                {{"lane", {}}, {"thread", {}}})
+        .collect([](std::vector<Sample>& out) {
+          for (const LaneDropCount& lane : laneDropCounts()) {
+            Sample& s = out.emplace_back();
+            s.labels.emplace_back("lane", std::to_string(lane.tid));
+            if (lane.threadName != nullptr) {
+              s.labels.emplace_back("thread", lane.threadName);
+            }
+            s.value = static_cast<double>(lane.dropped);
+          }
+        });
   }
 };
 

@@ -145,8 +145,9 @@ void clearAll();
 /// Sum of drop counters across all lanes.
 std::uint64_t droppedEvents() noexcept;
 
-/// One lane's drop counter, for per-lane monitoring exposition
-/// (msc_trace_dropped_events_total{lane=...} in obs/prom_export.h).
+/// One lane's drop counter, for per-lane monitoring exposition (the global
+/// registry's "trace.dropped_events" family: msc_trace_dropped_events_total
+/// {lane=...,thread=...}).
 struct LaneDropCount {
   int tid = 0;
   const char* threadName = nullptr;  // null when never named

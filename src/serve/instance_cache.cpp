@@ -8,7 +8,6 @@
 
 #include "obs/context.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 
 namespace msc::serve {
 
@@ -183,8 +182,38 @@ void InstanceCache::refreshOracleBytes(GraphEntry& entry) {
   entry.oracleBytes = now;
 }
 
+namespace {
+
+bool isPairCentric(const msc::graph::DistanceOracle& oracle) {
+  return std::string_view(oracle.mode()) == "pair_centric";
+}
+
+/// Adds the monotone counts of `from` into `into`.
+void addCounts(msc::graph::OracleStats& into,
+               const msc::graph::OracleStats& from) {
+  into.pointQueries += from.pointQueries;
+  into.rowQueries += from.rowQueries;
+  into.terminalBatches += from.terminalBatches;
+  into.rowBuilds += from.rowBuilds;
+  into.rowHits += from.rowHits;
+  into.altQueries += from.altQueries;
+  into.rowsEvicted += from.rowsEvicted;
+  into.rowBuildNs += from.rowBuildNs;
+}
+
+}  // namespace
+
+void InstanceCache::retireOracle(const msc::graph::DistanceOracle& oracle) {
+  // Work an in-flight request still does on the departing oracle is not
+  // counted; what was counted stays, so the totals never decrease.
+  addCounts(isPairCentric(oracle) ? counters_.oraclePairCentric
+                                  : counters_.oracleDense,
+            oracle.stats());
+}
+
 void InstanceCache::dropOracle(GraphEntry& entry) {
   if (!entry.oracle) return;
+  retireOracle(*entry.oracle);
   entry.oracle.reset();
   bytesUsed_ -= entry.oracleBytes;
   entry.bytes -= entry.oracleBytes;
@@ -225,9 +254,6 @@ bool InstanceCache::ensureOracle(const std::string& key, GraphEntry& entry,
                                             entry.oracle->stats());
       if (d.switchBackend) {
         ++counters_.oracleModeSwitches;
-        if (obs::enabled()) {
-          obs::counter("serve.oracle_mode_switches").add(1);
-        }
         logModeDecision(key, "switch", entry.oracle->mode(),
                         msc::graph::distanceModeName(d.backend), n, d.reason);
         dropOracle(entry);
@@ -329,35 +355,25 @@ InstanceCache::Stats InstanceCache::stats() const {
   s.entries = graphs_.size() + pairsSets_.size();
   for (const auto& [key, entry] : graphs_) {
     if (!entry.oracle) continue;
-    // Live residentBytes(), not the charged estimate: a scrape between
-    // touches still sees rows cached since.
-    const std::size_t bytes = entry.oracle->residentBytes();
-    const bool pairCentric =
-        std::string_view(entry.oracle->mode()) == "pair_centric";
-    if (pairCentric) {
-      ++s.oraclesPairCentric;
-      s.oracleBytesPairCentric += bytes;
-    } else {
-      ++s.oraclesDense;
-      s.oracleBytesDense += bytes;
-    }
-    // Query-mix telemetry summed per backend (docs/ALGORITHMS.md §16).
-    const msc::graph::OracleStats os = entry.oracle->stats();
-    OracleAgg& agg = pairCentric ? s.oraclePairCentric : s.oracleDense;
-    agg.pointQueries += os.pointQueries;
-    agg.rowQueries += os.rowQueries;
-    agg.terminalBatches += os.terminalBatches;
-    agg.rowBuilds += os.rowBuilds;
-    agg.rowHits += os.rowHits;
-    agg.altQueries += os.altQueries;
-    agg.rowsEvicted += os.rowsEvicted;
-    agg.rowsResident += os.rowsResident;
+    const bool pairCentric = isPairCentric(*entry.oracle);
+    ++(pairCentric ? s.oraclesPairCentric : s.oraclesDense);
+    // Live stats, not the charged estimate: a scrape between touches still
+    // sees rows cached since (docs/ALGORITHMS.md §16).
+    const msc::graph::OracleStats live = entry.oracle->stats();
+    msc::graph::OracleStats& total =
+        pairCentric ? s.oraclePairCentric : s.oracleDense;
+    addCounts(total, live);
+    total.rowsResident += live.rowsResident;
+    total.residentBytes += live.residentBytes;
   }
   return s;
 }
 
 void InstanceCache::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, entry] : graphs_) {
+    if (entry.oracle) retireOracle(*entry.oracle);
+  }
   graphs_.clear();
   pairsSets_.clear();
   lru_.clear();
@@ -380,6 +396,7 @@ void InstanceCache::evictOverBudget(const std::string& keep) {
 
 void InstanceCache::eraseKey(const std::string& key) {
   if (const auto it = graphs_.find(key); it != graphs_.end()) {
+    if (it->second.oracle) retireOracle(*it->second.oracle);
     bytesUsed_ -= it->second.bytes;
     lru_.erase(it->second.lruPos);
     graphs_.erase(it);

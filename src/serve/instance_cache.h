@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/candidates.h"
@@ -45,19 +46,6 @@ std::string contentHashHex(const void* bytes, std::size_t size);
 
 class InstanceCache {
  public:
-  /// Per-backend oracle telemetry summed over the cached oracles (live
-  /// OracleStats snapshots — values reset when an oracle is rebuilt).
-  struct OracleAgg {
-    std::uint64_t pointQueries = 0;
-    std::uint64_t rowQueries = 0;
-    std::uint64_t terminalBatches = 0;
-    std::uint64_t rowBuilds = 0;
-    std::uint64_t rowHits = 0;
-    std::uint64_t altQueries = 0;
-    std::uint64_t rowsEvicted = 0;
-    std::size_t rowsResident = 0;
-  };
-
   /// Aggregate counters (monotonic since construction) plus current usage.
   struct Stats {
     std::uint64_t graphHits = 0;
@@ -73,14 +61,21 @@ class InstanceCache {
     std::size_t bytesUsed = 0;
     std::size_t byteBudget = 0;
     std::size_t entries = 0;
-    // Built distance oracles by backend: entry counts and resident bytes
-    // (live values — pair-centric oracles grow as rows are cached).
+    // Built distance oracles by backend (live entry counts).
     std::size_t oraclesDense = 0;
     std::size_t oraclesPairCentric = 0;
-    std::size_t oracleBytesDense = 0;
-    std::size_t oracleBytesPairCentric = 0;
-    OracleAgg oracleDense;
-    OracleAgg oraclePairCentric;
+    /// Oracle telemetry summed per backend: the live OracleStats of every
+    /// cached oracle plus the counts of every oracle that already left the
+    /// cache (eviction, auto-mode switch, reload under another mode,
+    /// clear()), so the counts never decrease. The gauges rowsResident and
+    /// residentBytes cover cached oracles only; rowsTouched and
+    /// oldestRowAgeNs are not summed.
+    msc::graph::OracleStats oracleDense;
+    msc::graph::OracleStats oraclePairCentric;
+
+    const msc::graph::OracleStats& oracle(std::string_view mode) const {
+      return mode == "pair_centric" ? oraclePairCentric : oracleDense;
+    }
   };
 
   /// `byteBudget` 0 means "effectively unbounded" (no eviction).
@@ -125,7 +120,8 @@ class InstanceCache {
 
   Stats stats() const;
 
-  /// Drops every entry and zeroes bytesUsed; counters keep accumulating.
+  /// Drops every entry and zeroes bytesUsed; counters (oracle telemetry
+  /// included) keep accumulating.
   void clear();
 
  private:
@@ -161,6 +157,8 @@ class InstanceCache {
   /// Drops the memoized oracle and unwinds its byte charge (mode change,
   /// auto-policy switch).
   void dropOracle(GraphEntry& entry);
+  /// Folds a departing oracle's counts into its backend's retired total.
+  void retireOracle(const msc::graph::DistanceOracle& oracle);
   /// Re-reads oracle->residentBytes() and folds the delta into the byte
   /// accounting (lazy backends grow as rows are cached).
   void refreshOracleBytes(GraphEntry& entry);
@@ -176,7 +174,7 @@ class InstanceCache {
   std::map<std::string, GraphEntry> graphs_;
   std::map<std::string, PairsEntry> pairsSets_;
   std::list<std::string> lru_;  // front = most recent, back = next to evict
-  Stats counters_;
+  Stats counters_;  // oracleDense/oraclePairCentric: retired totals only
 };
 
 }  // namespace msc::serve

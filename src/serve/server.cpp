@@ -180,10 +180,77 @@ std::size_t defaultCacheBytes() {
   return static_cast<std::size_t>(mb) << 20;
 }
 
+namespace {
+
+/// Declares the engine's own families (docs/ALGORITHMS.md §13). Oracle
+/// series read the cache at scrape: per-backend OracleStats sums that
+/// include every oracle that left the cache, so the _total series never
+/// decrease. Cancellations and in-flight requests are bumped through their
+/// handles in Engine::handle; the Server observes the queued phase.
+void registerEngineMetrics(obs::Registry& reg, const InstanceCache& cache) {
+  using obs::MetricType;
+  using Stats = msc::graph::OracleStats;
+  const std::vector<std::string> modes{"dense", "pair_centric"};
+  // Reads one OracleStats field of one backend at scrape.
+  const auto read = [&cache](const std::string& mode, auto field) {
+    return [&cache, mode, field] {
+      return static_cast<double>(cache.stats().oracle(mode).*field);
+    };
+  };
+  const auto perMode = [&](const char* name, MetricType type,
+                           const char* help, auto field) {
+    obs::Family& family = reg.family(name, type, help, {{"mode", modes}});
+    for (const std::string& mode : modes) {
+      family.observe({mode}, read(mode, field));
+    }
+  };
+  perMode("serve.oracle.bytes", MetricType::Gauge,
+          "resident bytes of cached distance oracles, by backend",
+          &Stats::residentBytes);
+  perMode("serve.oracle.rows", MetricType::Gauge,
+          "full distance rows resident in cached oracles, by backend",
+          &Stats::rowsResident);
+  perMode("serve.oracle.row_builds", MetricType::Counter,
+          "lazy Dijkstra row materializations, by backend",
+          &Stats::rowBuilds);
+  perMode("serve.oracle.row_hits", MetricType::Counter,
+          "row queries served from cache, by backend", &Stats::rowHits);
+  perMode("serve.oracle.row_evictions", MetricType::Counter,
+          "rows evicted under MSC_ORACLE_ROWS_MB, by backend",
+          &Stats::rowsEvicted);
+  obs::Family& queries = reg.family(
+      "serve.oracle.queries", MetricType::Counter,
+      "distance-oracle queries by backend and kind",
+      {{"mode", modes}, {"kind", {"point", "row", "terminal_batch"}}});
+  for (const std::string& mode : modes) {
+    queries.observe({mode, "point"}, read(mode, &Stats::pointQueries));
+    queries.observe({mode, "row"}, read(mode, &Stats::rowQueries));
+    queries.observe({mode, "terminal_batch"},
+                    read(mode, &Stats::terminalBatches));
+  }
+  reg.family("serve.oracle.mode_switches", MetricType::Counter,
+             "auto-mode backend rebuilds driven by measured query mix")
+      .observe({}, [&cache] {
+        return static_cast<double>(cache.stats().oracleModeSwitches);
+      });
+  reg.family("serve.cancellations", MetricType::Counter,
+             "requests stopped early and answered with an anytime result, "
+             "by reason",
+             {{"reason", {"client", "deadline"}}});
+  reg.family("serve.requests_inflight", MetricType::Gauge,
+             "requests admitted but not yet answered, by phase",
+             {{"phase", {"executing", "queued"}}});
+}
+
+}  // namespace
+
 Engine::Engine(EngineConfig config)
     : config_(config),
       cache_(config.cacheBytes, config.oracleRowBytes),
-      start_(std::chrono::steady_clock::now()) {}
+      start_(std::chrono::steady_clock::now()) {
+  registerEngineMetrics(metrics_, cache_);
+  obs::progressMetrics();  // the global progress series, at zero
+}
 
 std::string Engine::handleLine(const std::string& line) {
   try {
@@ -242,7 +309,9 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
   rctx.setCancelToken(&token);
   std::optional<obs::ProgressReporter> progressReporter;
 
-  executing_.fetch_add(1, std::memory_order_relaxed);
+  obs::Gauge& executing =
+      metrics_.family("serve.requests_inflight").gauge({"executing"});
+  executing.add(1);
   std::multimap<std::string, util::CancelToken*>::iterator inflightIt;
   bool inflightRegistered = false;
   if (!request.id.isNull()) {
@@ -383,9 +452,9 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
       const util::CancelReason reason = token.reason();
       status = reason == util::CancelReason::Deadline ? "deadline_exceeded"
                                                       : "cancelled";
-      (reason == util::CancelReason::Deadline ? cancelledDeadline_
-                                              : cancelledClient_)
-          .fetch_add(1, std::memory_order_relaxed);
+      metrics_.family("serve.cancellations")
+          .counter({util::cancelReasonName(reason)})
+          .add(1);
       bumpCounter(reason == util::CancelReason::Deadline
                       ? "serve.cancelled.deadline"
                       : "serve.cancelled.client");
@@ -445,7 +514,7 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
     const std::lock_guard<std::mutex> lock(inflightMu_);
     inflightTokens_.erase(inflightIt);
   }
-  executing_.fetch_sub(1, std::memory_order_relaxed);
+  executing.add(-1);
   return response;
 }
 
@@ -751,12 +820,13 @@ json::Object Engine::cmdStats(const Request&) {
   json::Object oracleObj;
   oracleObj["dense"] = cs.oraclesDense;
   oracleObj["pair_centric"] = cs.oraclesPairCentric;
-  oracleObj["bytes_dense"] = cs.oracleBytesDense;
-  oracleObj["bytes_pair_centric"] = cs.oracleBytesPairCentric;
+  oracleObj["bytes_dense"] = cs.oracleDense.residentBytes;
+  oracleObj["bytes_pair_centric"] = cs.oraclePairCentric.residentBytes;
   // Measured auto-mode policy + query-mix telemetry (msc.serve.v1
-  // additions, docs/ALGORITHMS.md §16).
+  // additions, docs/ALGORITHMS.md §16): the same per-backend sums the
+  // msc_serve_oracle_* families read.
   oracleObj["mode_switches"] = cs.oracleModeSwitches;
-  const auto aggObj = [](const InstanceCache::OracleAgg& a) {
+  const auto aggObj = [](const msc::graph::OracleStats& a) {
     json::Object o;
     o["point_queries"] = a.pointQueries;
     o["row_queries"] = a.rowQueries;
@@ -802,16 +872,19 @@ json::Object Engine::cmdStats(const Request&) {
   fields["request_seconds"] = std::move(latObj);
 
   // Live-introspection snapshot (docs/ALGORITHMS.md §18): progress-stream
-  // volume and anytime-result counts, always on.
-  const obs::ProgressCounters pc = obs::progressCounters();
+  // volume and anytime-result counts, always on — the handles behind the
+  // msc_progress_* and msc_serve_cancellations_total series.
+  const obs::ProgressMetrics& progress = obs::progressMetrics();
   json::Object progressObj;
-  progressObj["snapshots"] = pc.snapshots;
-  progressObj["events"] = pc.events;
-  progressObj["last_rounds_per_second"] = pc.lastRoundsPerSecond;
+  progressObj["snapshots"] = progress.snapshots.value();
+  progressObj["events"] = progress.events.value();
+  progressObj["last_rounds_per_second"] = progress.roundsPerSecond.value();
   fields["progress"] = std::move(progressObj);
+  obs::Family& cancellations = metrics_.family("serve.cancellations");
   json::Object cancelObj;
-  cancelObj["client"] = cancelledClient_.load(std::memory_order_relaxed);
-  cancelObj["deadline"] = cancelledDeadline_.load(std::memory_order_relaxed);
+  for (const std::string& reason : cancellations.labels()[0].values) {
+    cancelObj[reason] = cancellations.counter({reason}).value();
+  }
   fields["cancellations"] = std::move(cancelObj);
 
   if (statsHook_) statsHook_(fields);
@@ -826,112 +899,7 @@ json::Object Engine::cmdMetrics(const Request&) {
 }
 
 std::string Engine::metricsText() const {
-  std::string text = obs::toProm(obs::Registry::global());
-  // Labeled serve gauges, appended after the registry dump (the registry
-  // itself has no label support — same pattern as the trace-drop series).
-  // Both backends always appear, zeros included, so dashboards can plot
-  // them without existence checks.
-  const InstanceCache::Stats cs = cache_.stats();
-  text +=
-      "# HELP msc_serve_oracle_bytes resident bytes of cached distance "
-      "oracles, by backend\n"
-      "# TYPE msc_serve_oracle_bytes gauge\n";
-  text += "msc_serve_oracle_bytes{mode=\"dense\"} " +
-          std::to_string(cs.oracleBytesDense) + "\n";
-  text += "msc_serve_oracle_bytes{mode=\"pair_centric\"} " +
-          std::to_string(cs.oracleBytesPairCentric) + "\n";
-  // Oracle query-mix / row-lifecycle series (docs/ALGORITHMS.md §16).
-  // Every {mode} (and {mode,kind}) combination is emitted from the first
-  // scrape, zeros included — the same registration contract as
-  // msc_trace_dropped_events_total, so dashboards and rate() queries never
-  // need existence checks.
-  const auto perMode = [&text](const InstanceCache::OracleAgg& agg,
-                               const char* mode) {
-    text += "msc_serve_oracle_queries_total{mode=\"" + std::string(mode) +
-            "\",kind=\"point\"} " + std::to_string(agg.pointQueries) + "\n";
-    text += "msc_serve_oracle_queries_total{mode=\"" + std::string(mode) +
-            "\",kind=\"row\"} " + std::to_string(agg.rowQueries) + "\n";
-    text += "msc_serve_oracle_queries_total{mode=\"" + std::string(mode) +
-            "\",kind=\"terminal_batch\"} " +
-            std::to_string(agg.terminalBatches) + "\n";
-  };
-  text +=
-      "# HELP msc_serve_oracle_queries_total distance-oracle queries by "
-      "backend and kind\n"
-      "# TYPE msc_serve_oracle_queries_total counter\n";
-  perMode(cs.oracleDense, "dense");
-  perMode(cs.oraclePairCentric, "pair_centric");
-  const auto gaugeOrCounter = [&text](const char* name, const char* help,
-                                      const char* type, std::size_t dense,
-                                      std::size_t pairCentric) {
-    text += "# HELP " + std::string(name) + " " + help + "\n# TYPE " + name +
-            " " + type + "\n";
-    text += std::string(name) + "{mode=\"dense\"} " + std::to_string(dense) +
-            "\n";
-    text += std::string(name) + "{mode=\"pair_centric\"} " +
-            std::to_string(pairCentric) + "\n";
-  };
-  gaugeOrCounter("msc_serve_oracle_rows",
-                 "full distance rows resident in cached oracles, by backend",
-                 "gauge", cs.oracleDense.rowsResident,
-                 cs.oraclePairCentric.rowsResident);
-  gaugeOrCounter("msc_serve_oracle_row_builds_total",
-                 "lazy Dijkstra row materializations, by backend", "counter",
-                 cs.oracleDense.rowBuilds, cs.oraclePairCentric.rowBuilds);
-  gaugeOrCounter("msc_serve_oracle_row_hits_total",
-                 "row queries served from cache, by backend", "counter",
-                 cs.oracleDense.rowHits, cs.oraclePairCentric.rowHits);
-  gaugeOrCounter("msc_serve_oracle_row_evictions_total",
-                 "rows evicted under MSC_ORACLE_ROWS_MB, by backend",
-                 "counter", cs.oracleDense.rowsEvicted,
-                 cs.oraclePairCentric.rowsEvicted);
-  text +=
-      "# HELP msc_serve_oracle_mode_switches_total auto-mode backend "
-      "rebuilds driven by measured query mix\n"
-      "# TYPE msc_serve_oracle_mode_switches_total counter\n"
-      "msc_serve_oracle_mode_switches_total " +
-      std::to_string(cs.oracleModeSwitches) + "\n";
-  // Live-introspection series (docs/ALGORITHMS.md §18). Every label value
-  // is emitted from the first scrape, zeros included — the registration
-  // contract shared by all msc_serve_* labeled series.
-  text +=
-      "# HELP msc_serve_cancellations_total requests stopped early and "
-      "answered with an anytime result, by reason\n"
-      "# TYPE msc_serve_cancellations_total counter\n";
-  text += "msc_serve_cancellations_total{reason=\"client\"} " +
-          std::to_string(cancelledClient_.load(std::memory_order_relaxed)) +
-          "\n";
-  text += "msc_serve_cancellations_total{reason=\"deadline\"} " +
-          std::to_string(cancelledDeadline_.load(std::memory_order_relaxed)) +
-          "\n";
-  text +=
-      "# HELP msc_serve_requests_inflight requests admitted but not yet "
-      "answered, by phase\n"
-      "# TYPE msc_serve_requests_inflight gauge\n";
-  text += "msc_serve_requests_inflight{phase=\"executing\"} " +
-          std::to_string(executing_.load(std::memory_order_relaxed)) + "\n";
-  text += "msc_serve_requests_inflight{phase=\"queued\"} " +
-          std::to_string(queueDepthHook_ ? queueDepthHook_() : 0) + "\n";
-  const obs::ProgressCounters pc = obs::progressCounters();
-  text +=
-      "# HELP msc_progress_snapshots_total solver round-boundary snapshots "
-      "offered to progress reporters\n"
-      "# TYPE msc_progress_snapshots_total counter\n"
-      "msc_progress_snapshots_total " +
-      std::to_string(pc.snapshots) + "\n";
-  text +=
-      "# HELP msc_progress_events_total progress events delivered to "
-      "clients\n"
-      "# TYPE msc_progress_events_total counter\n"
-      "msc_progress_events_total " +
-      std::to_string(pc.events) + "\n";
-  text +=
-      "# HELP msc_solver_rounds_per_second most recent per-round rate "
-      "observed by any progress reporter\n"
-      "# TYPE msc_solver_rounds_per_second gauge\n"
-      "msc_solver_rounds_per_second " +
-      std::to_string(pc.lastRoundsPerSecond) + "\n";
-  return text;
+  return obs::toProm(obs::Registry::global()) + obs::toProm(metrics_);
 }
 
 bool Engine::ready() const {
@@ -1301,8 +1269,11 @@ Server::Server(ServerConfig config)
   // A server also drains on the process-wide (signal-driven) stop flag, so
   // health must report not-ready as soon as it is raised.
   engine_.setReadyHook([] { return !Server::shutdownRequested(); });
-  engine_.setQueueDepthHook(
-      [this] { return queueDepth_.load(std::memory_order_relaxed); });
+  engine_.metrics()
+      .family("serve.requests_inflight")
+      .observe({"queued"}, [this] {
+        return static_cast<double>(queueDepth_.load(std::memory_order_relaxed));
+      });
 }
 
 Server::~Server() { stopMetricsHttp(); }

@@ -56,6 +56,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "serve/instance_cache.h"
 #include "serve/protocol.h"
 #include "util/cancel.h"
@@ -134,19 +135,22 @@ class Engine {
     cancelHook_ = std::move(hook);
   }
 
-  /// Current admission-queue depth for the msc_serve_requests_inflight
-  /// {phase="queued"} gauge (the Server wires its queue in; 0 when unset).
-  void setQueueDepthHook(std::function<std::size_t()> hook) {
-    queueDepthHook_ = std::move(hook);
-  }
-
   /// Readiness as `health` reports it: false once shutdown was requested
   /// (draining) or the ready hook vetoes.
   bool ready() const;
 
-  /// Prometheus text exposition: the global metrics registry plus serve-
-  /// level gauges computed here (msc_serve_oracle_bytes by backend). Used
-  /// by the `metrics` command and the GET /metrics endpoint.
+  /// This engine's labeled series (docs/ALGORITHMS.md §13): the
+  /// msc_serve_oracle_* families read from the cache at scrape,
+  /// msc_serve_cancellations_total{reason} and
+  /// msc_serve_requests_inflight{phase} (the Server observes "queued").
+  /// One registry per engine, so engines sharing a process keep separate
+  /// counts.
+  obs::Registry& metrics() noexcept { return metrics_; }
+  const obs::Registry& metrics() const noexcept { return metrics_; }
+
+  /// Prometheus text exposition: the global metrics registry, then this
+  /// engine's registry. Used by the `metrics` command and the GET /metrics
+  /// endpoint.
   std::string metricsText() const;
 
  private:
@@ -170,14 +174,12 @@ class Engine {
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> cancelledClient_{0};
-  std::atomic<std::uint64_t> cancelledDeadline_{0};
-  std::atomic<std::int64_t> executing_{0};
   std::function<void(json::Object&)> statsHook_;
   std::function<bool()> readyHook_;
   std::function<bool(const std::string&)> cancelHook_;
-  std::function<std::size_t()> queueDepthHook_;
   std::chrono::steady_clock::time_point start_;
+  // After cache_: its observe() callbacks read the cache.
+  obs::Registry metrics_;
   mutable std::mutex aliasMu_;
   std::map<std::string, std::string> aliases_;
   /// Tokens of currently-executing requests keyed by the JSON-rendered

@@ -161,6 +161,10 @@ TEST(HistogramTest, ResetZeroesButKeepsRecording) {
 }
 
 TEST(HistogramTest, RegistryReturnsSameInstanceAndResetAllClears) {
+  // Disable explicitly: the default follows MSC_METRICS from the
+  // environment, and this test checks recording while disabled.
+  const bool wasEnabled = msc::obs::enabled();
+  msc::obs::setEnabled(false);
   msc::obs::resetAll();
   auto& a = msc::obs::histogram("test.registry_hist");
   auto& b = msc::obs::histogram("test.registry_hist");
@@ -174,6 +178,7 @@ TEST(HistogramTest, RegistryReturnsSameInstanceAndResetAllClears) {
   a.record(0.25);
   EXPECT_EQ(a.snapshot().count, 1u);
   msc::obs::resetAll();
+  msc::obs::setEnabled(wasEnabled);
 }
 
 TEST(HistogramTest, RegistryRowsAreSortedByName) {

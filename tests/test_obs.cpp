@@ -200,7 +200,10 @@ TEST_F(ObsTest, JsonExportWithNonFiniteStatsParses) {
 }
 
 TEST_F(ObsTest, JsonExportEmptyRegistryParses) {
-  const std::string json = msc::obs::toJson(Registry::global());
+  // A fresh registry: the global one keeps the registrations of earlier
+  // tests in this process (reset() zeroes values, never unregisters).
+  const Registry empty;
+  const std::string json = msc::obs::toJson(empty);
   const auto doc = msc::serve::json::parse(json);
   ASSERT_TRUE(doc.isObject());
   EXPECT_TRUE(doc.asObject().at("counters").asObject().empty());

@@ -6,12 +6,18 @@
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "graph/graph_io.h"
+#include "helpers.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/json.h"
+#include "serve/server.h"
 
 namespace {
 
@@ -152,7 +158,10 @@ TEST_F(PromExportTest, EmptyHistogramStillExportsClosedSeries) {
 }
 
 TEST_F(PromExportTest, EmptyRegistryProducesEmptyOutput) {
-  EXPECT_EQ(msc::obs::toProm(Registry::global()), "");
+  // A fresh registry: the global one keeps the registrations of earlier
+  // tests in this process (reset() zeroes values, never unregisters).
+  const Registry empty;
+  EXPECT_EQ(msc::obs::toProm(empty), "");
 }
 
 TEST_F(PromExportTest, HostileNamesProduceWellFormedLines) {
@@ -206,6 +215,92 @@ TEST_F(PromExportTest, TraceLaneDropCountersAreExported) {
         maxDropped, std::stoull(line.substr(line.find("} ") + 2)));
   }
   EXPECT_GE(maxDropped, 2u);
+}
+
+// Bare sample name of an exposition line ("name{...} v" or "name v").
+std::string sampleName(const std::string& line) {
+  return line.substr(0, std::min(line.find('{'), line.find(' ')));
+}
+
+std::set<std::string> sampleNames(const std::string& text) {
+  std::set<std::string> names;
+  for (const std::string& line : sampleLines(text)) {
+    names.insert(sampleName(line));
+  }
+  return names;
+}
+
+TEST_F(PromExportTest, FullServePageIsWellFormed) {
+  // Everything on: gated counters and span stats, trace lanes (for the
+  // trace-drop family), both oracle backends, a progress stream and a
+  // deadline-cancelled request.
+  namespace trace = msc::obs::trace;
+  const bool wasTracing = trace::enabled();
+  trace::setEnabled(true);
+  msc::serve::Server server;  // observes the queued phase
+  msc::serve::Engine& engine = server.engine();
+  const auto run = [&engine](const std::string& line) {
+    const auto reply = msc::serve::json::parse(engine.handleLine(line));
+    EXPECT_NE(reply.find("status")->asString(), "error") << line;
+  };
+  for (const char* mode : {"dense", "pair_centric"}) {
+    std::ostringstream graph;
+    msc::graph::writeEdgeList(graph, msc::test::randomGraph(30, 0.15, 5));
+    run("{\"cmd\":\"load_graph\",\"as\":\"" + std::string(mode) +
+        "\",\"distance_mode\":\"" + mode + "\",\"text\":" +
+        msc::serve::json::dump(msc::serve::json::Value(graph.str())) + "}");
+  }
+  run("{\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"0 29\\n4 17\\n\"}");
+  for (const char* mode : {"dense", "pair_centric"}) {
+    run("{\"cmd\":\"solve\",\"graph\":\"" + std::string(mode) +
+        "\",\"pairs\":\"p\",\"algo\":\"aa\",\"k\":2,\"threads\":1,"
+        "\"progress\":{\"every_ms\":0}}");
+  }
+  run("{\"id\":1,\"cmd\":\"sleep\",\"ms\":5000,\"deadline_seconds\":0.01}");
+  const std::string page = engine.metricsText();
+  const std::string global = msc::obs::toProm(Registry::global());
+  const std::string local = msc::obs::toProm(engine.metrics());
+  trace::setEnabled(wasTracing);
+
+  // Exactly one TYPE per family, and every sample sits in the block its
+  // family's TYPE line opened (so each family's samples are contiguous).
+  std::map<std::string, std::string> types;
+  std::string family;
+  std::istringstream in(page);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# HELP ", 0) == 0) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream ss(line.substr(7));
+      std::string type;
+      ss >> family >> type;
+      EXPECT_TRUE(types.emplace(family, type).second)
+          << "second TYPE line for " << family;
+      continue;
+    }
+    ASSERT_FALSE(family.empty()) << "sample before any TYPE: " << line;
+    const std::string name = sampleName(line);
+    bool inFamily = name == family;
+    if (types[family] == "histogram" || types[family] == "summary") {
+      for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+        inFamily = inFamily || name == family + suffix;
+      }
+    }
+    EXPECT_TRUE(inFamily) << line << " outside its family (in " << family
+                          << ")";
+  }
+  for (const char* expected :
+       {"msc_trace_dropped_events_total", "msc_progress_snapshots_total",
+        "msc_serve_oracle_queries_total", "msc_serve_requests_inflight",
+        "msc_serve_request_seconds", "msc_span_serve_request"}) {
+    EXPECT_EQ(types.count(expected), 1u) << expected;
+  }
+
+  // The two registries never export the same series name.
+  const std::set<std::string> globalNames = sampleNames(global);
+  for (const std::string& name : sampleNames(local)) {
+    EXPECT_EQ(globalNames.count(name), 0u) << name << " in both registries";
+  }
 }
 
 TEST_F(PromExportTest, WritePromFileRoundTrips) {

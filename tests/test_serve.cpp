@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -28,6 +29,7 @@
 #include "core/greedy.h"
 #include "core/sandwich.h"
 #include "core/sigma.h"
+#include "gen/grid.h"
 #include "graph/graph_io.h"
 #include "helpers.h"
 #include "serve/instance_cache.h"
@@ -1112,6 +1114,117 @@ TEST(ServeTelemetry, StatsAndMetricsExposeProgressAndCancellationSeries) {
         "msc_serve_requests_inflight{phase=\"queued\"}",
         "msc_progress_snapshots_total", "msc_progress_events_total"}) {
     EXPECT_NE(metrics.find(series), std::string::npos) << series;
+  }
+}
+
+// Every msc_serve_oracle_*_total sample of a Prometheus page, by series.
+std::map<std::string, double> oracleTotalSamples(const std::string& prom) {
+  std::map<std::string, double> out;
+  std::istringstream in(prom);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("msc_serve_oracle_", 0) != 0) continue;
+    const auto space = line.rfind(' ');
+    const std::string series = line.substr(0, space);
+    if (series.find("_total") == std::string::npos) continue;
+    out[series] = std::stod(line.substr(space + 1));
+  }
+  return out;
+}
+
+// Every count of stats.cache.oracles.*_telemetry (rows_resident is a
+// gauge of live rows, not a count).
+std::map<std::string, double> telemetryCounts(const json::Value& stats) {
+  std::map<std::string, double> out;
+  for (const char* block : {"dense_telemetry", "pair_centric_telemetry"}) {
+    const auto* obj = stats.find("cache")->find("oracles")->find(block);
+    for (const auto& [key, value] : obj->asObject()) {
+      if (key == "rows_resident") continue;
+      out[std::string(block) + "." + key] = value.asNumber();
+    }
+  }
+  return out;
+}
+
+struct OracleScrape {
+  std::map<std::string, double> prom;
+  std::map<std::string, double> stats;
+};
+
+OracleScrape scrapeOracleCounters(Engine& engine) {
+  const auto metrics = json::parse(engine.handleLine("{\"cmd\":\"metrics\"}"));
+  const auto stats = json::parse(engine.handleLine("{\"cmd\":\"stats\"}"));
+  return {oracleTotalSamples(metrics.find("prometheus")->asString()),
+          telemetryCounts(stats)};
+}
+
+void expectNonDecreasing(const std::map<std::string, double>& before,
+                         const std::map<std::string, double>& after,
+                         const char* when) {
+  ASSERT_EQ(before.size(), after.size()) << when;
+  for (const auto& [key, value] : before) {
+    EXPECT_GE(after.at(key), value) << key << " decreased " << when;
+  }
+}
+
+TEST(ServeTelemetry, OracleCountersStayMonotoneAcrossEviction) {
+  // Graph A (40x40 grid, pair-centric) fills most of a 300 kB cache, so
+  // loading graph B (10x10) evicts it together with its oracle. The
+  // *_total series must keep A's counts instead of dropping to zero.
+  const auto grid = [](int side) {
+    msc::gen::GridConfig cfg;
+    cfg.width = side;
+    cfg.height = side;
+    return graphText(msc::gen::grid(cfg).graph);
+  };
+  const auto loadGraph = [](Engine& engine, const std::string& text) {
+    const auto r = json::parse(engine.handleLine(
+        "{\"cmd\":\"load_graph\",\"as\":\"g\",\"distance_mode\":"
+        "\"pair_centric\",\"text\":\"" + jsonEscape(text) + "\"}"));
+    ASSERT_EQ(r.find("status")->asString(), "ok");
+  };
+  const auto loadPairsAndSolve = [](Engine& engine) {
+    const auto p = json::parse(engine.handleLine(
+        "{\"cmd\":\"load_pairs\",\"as\":\"p\",\"text\":\"0 99\\n5 90\\n\"}"));
+    ASSERT_EQ(p.find("status")->asString(), "ok");
+    const auto r = json::parse(engine.handleLine(
+        "{\"cmd\":\"solve\",\"graph\":\"g\",\"pairs\":\"p\",\"p_t\":0.14,"
+        "\"algo\":\"greedy\",\"k\":2,\"threads\":1,\"seed\":1}"));
+    ASSERT_EQ(r.find("status")->asString(), "ok");
+  };
+  EngineConfig config;
+  config.cacheBytes = 300000;
+  config.defaultThreads = 1;
+  config.oracleRowBytes = 0;
+
+  Engine engine(config);
+  loadGraph(engine, grid(40));
+  loadPairsAndSolve(engine);
+  const OracleScrape afterA = scrapeOracleCounters(engine);
+  loadGraph(engine, grid(10));
+  ASSERT_GT(engine.cache().stats().evictions, 0u) << "graph A not evicted";
+  const OracleScrape afterEviction = scrapeOracleCounters(engine);
+  loadPairsAndSolve(engine);
+  const OracleScrape afterB = scrapeOracleCounters(engine);
+
+  expectNonDecreasing(afterA.prom, afterEviction.prom, "on eviction");
+  expectNonDecreasing(afterEviction.prom, afterB.prom, "on solve");
+  expectNonDecreasing(afterA.stats, afterEviction.stats, "on eviction");
+  expectNonDecreasing(afterEviction.stats, afterB.stats, "on solve");
+  EXPECT_GT(afterA.prom.at(
+                "msc_serve_oracle_row_builds_total{mode=\"pair_centric\"}"),
+            0.0);
+
+  // B's counts alone, from a fresh engine running only B's session.
+  Engine onlyB(config);
+  loadGraph(onlyB, grid(10));
+  loadPairsAndSolve(onlyB);
+  const OracleScrape b = scrapeOracleCounters(onlyB);
+  for (const auto& [key, value] : afterB.prom) {
+    EXPECT_EQ(value, afterA.prom.at(key) + b.prom.at(key)) << key;
+  }
+  for (const auto& [key, value] : afterB.stats) {
+    EXPECT_EQ(value, afterA.stats.at(key) + b.stats.at(key)) << key;
   }
 }
 
