@@ -555,8 +555,8 @@ int cmdVersion() {
                "cancellations{client,deadline}\n"
             << "  prometheus-text-0.0.4  metrics exposition (--metrics-prom, "
                "serve `metrics` cmd, GET /metrics)\n"
-            << "    serve families besides the registry's counters, stats "
-               "and histograms:\n";
+            << "    serve scrapes also carry these families, zeros "
+               "included:\n";
   // Read off a default Engine: its own registry and the global families
   // it registers, i.e. exactly what a first scrape carries.
   const msc::serve::Engine engine;
@@ -564,15 +564,13 @@ int cmdVersion() {
                                             &engine.metrics()};
   for (const msc::obs::Registry* registry : registries) {
     for (const auto& row : registry->families()) {
-      const msc::obs::Family& family = *row.family;
-      std::cout << "      " << msc::obs::promFamilyName(family);
-      for (std::size_t i = 0; i < family.labels().size(); ++i) {
-        std::cout << (i == 0 ? '{' : ',') << family.labels()[i].name;
+      std::cout << "      " << msc::obs::promFamilyName(*row.family);
+      const char* sep = "{";
+      for (const auto& label : row.family->labels()) {
+        std::cout << sep << label.name;
+        sep = ",";
       }
-      std::cout << (family.labels().empty() ? "" : "}") << ' '
-                << (family.type() == msc::obs::MetricType::Counter ? "counter"
-                                                                   : "gauge")
-                << '\n';
+      std::cout << (row.family->labels().empty() ? "\n" : "}\n");
     }
   }
   return 0;
