@@ -75,20 +75,21 @@ void BM_ApplyZeroEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyZeroEdge)->Arg(50)->Arg(100)->Arg(150);
 
-// Point-query cost of the two oracle backends on the same graph: the
-// dense matrix lookup is the floor, the pair-centric ALT/cached-row query
-// is what replaces it past the auto threshold. Queries cycle through a
+// Point-query cost of the two oracle residency modes on the same graph:
+// the resident matrix lookup is the floor, the pair-centric ALT/cached-row
+// query is what replaces it past the auto threshold. Queries cycle through a
 // fixed endpoint sample so the pair-centric row cache behaves as it does
 // mid-solve (hot rows for repeated sources).
 void BM_MatrixLookup(benchmark::State& state) {
   const auto spatial = makeRg(static_cast<int>(state.range(0)), 10);
-  const auto oracle = msc::graph::DenseMatrixOracle::build(
-      spatial.instance.graph(), /*threads=*/1);
-  const int n = spatial.instance.graph().nodeCount();
+  const msc::graph::DistanceOracle oracle(
+      std::make_shared<const msc::graph::Graph>(spatial.instance.graph()),
+      msc::graph::DistanceOracle::AllRowsResident{});
+  const int n = oracle.nodeCount();
   int x = 0;
   for (auto _ : state) {
     x = (x + 17) % n;
-    benchmark::DoNotOptimize(oracle->distance(x, (x * 31 + 7) % n));
+    benchmark::DoNotOptimize(oracle.distance(x, (x * 31 + 7) % n));
   }
 }
 BENCHMARK(BM_MatrixLookup)->Arg(100)->Arg(150);
@@ -97,8 +98,8 @@ void BM_OracleQuery(benchmark::State& state) {
   const auto spatial = makeRg(static_cast<int>(state.range(0)), 10);
   const auto graph =
       std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
-  const msc::graph::PairCentricOracle oracle(
-      graph, msc::graph::PairCentricOracle::Config{8});
+  const msc::graph::DistanceOracle oracle(
+      graph, msc::graph::DistanceOracle::Config{8});
   const int n = graph->nodeCount();
   int x = 0;
   for (auto _ : state) {
@@ -269,20 +270,21 @@ void runRegressionHarness() {
     });
   }
   {
-    // Point-query cost of both oracle backends, gated by bench_diff.py
-    // like every other harness case (CI perf-smoke self-diff).
+    // Point-query cost of both oracle residency modes, gated by
+    // bench_diff.py like every other harness case (CI perf-smoke
+    // self-diff).
     const auto spatial = makeRg(150, 10);
-    const auto dense = msc::graph::DenseMatrixOracle::build(
-        spatial.instance.graph(), /*threads=*/1);
     const auto graph =
         std::make_shared<const msc::graph::Graph>(spatial.instance.graph());
-    const msc::graph::PairCentricOracle pc(
-        graph, msc::graph::PairCentricOracle::Config{8});
+    const msc::graph::DistanceOracle dense(
+        graph, msc::graph::DistanceOracle::AllRowsResident{});
+    const msc::graph::DistanceOracle pc(
+        graph, msc::graph::DistanceOracle::Config{8});
     const int n = graph->nodeCount();
     harness.run("matrix_lookup", [&] {
       double sum = 0.0;
       for (int x = 0; x < n; x += 7) {
-        sum += dense->distance(x, (x * 31 + 7) % n);
+        sum += dense.distance(x, (x * 31 + 7) % n);
       }
       benchmark::DoNotOptimize(sum);
     });

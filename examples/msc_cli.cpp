@@ -48,6 +48,7 @@
 #include "gen/random_geometric.h"
 #include "gen/watts_strogatz.h"
 #include "graph/apsp.h"
+#include "graph/distance_oracle.h"
 #include "graph/graph_io.h"
 #include "serve/server.h"
 #include "util/args.h"
@@ -511,7 +512,7 @@ int cmdVersion() {
                "reports \"candidates\";\n"
             << "    stats exposes cache.oracles{dense,pair_centric,"
                "bytes_dense,bytes_pair_centric,\n"
-            << "    mode_switches,dense_telemetry,pair_centric_telemetry};\n"
+            << "    dense_telemetry,pair_centric_telemetry};\n"
             << "    solve/eval responses carry usage.oracle{point_queries,"
                "row_queries,\n"
             << "    terminal_batches,row_builds,row_hits,rows_evicted,"
@@ -530,9 +531,8 @@ int cmdVersion() {
             << "    knobs: MSC_ORACLE_ROWS_MB / serve --oracle-rows-mb "
                "(bounded oracle row cache,\n"
             << "    bit-identical results); distance_mode \"auto\" "
-               "re-validates the backend from the\n"
-            << "    measured query mix and logs serve.oracle_mode_decision "
-               "events;\n"
+               "is dense iff n <= "
+            << msc::graph::kDenseAutoNodeLimit << ";\n"
             << "    live introspection (docs/ALGORITHMS.md sec. 18): any "
                "request accepts\n"
             << "    \"deadline_seconds\" (> 0) and \"progress\":{\"every_ms\":"

@@ -47,8 +47,8 @@ void Instance::validateAndPrefetch(int threads) {
   // instead of freed, so evaluator-held spans never dangle.
   rowLease_ = oracle_->acquireRowLease();
   // Every evaluator starts from the pair-node rows; one parallel burst
-  // here (a no-op on the dense backend) keeps their constructors off the
-  // Dijkstra path and makes later reads deterministic cache hits.
+  // here (a no-op when all rows are resident) keeps their constructors off
+  // the Dijkstra path and makes later reads deterministic cache hits.
   oracle_->prefetchRows(pairNodes_, threads);
 }
 
@@ -84,16 +84,6 @@ Instance::Instance(std::shared_ptr<const msc::graph::Graph> graph,
   }
   validateAndPrefetch(threads);
 }
-
-Instance::Instance(std::shared_ptr<const msc::graph::Graph> graph,
-                   std::shared_ptr<const msc::graph::DistanceMatrix> distances,
-                   std::vector<SocialPair> pairs, double distanceThreshold)
-    : Instance(graph,
-               distances
-                   ? std::make_shared<const msc::graph::DenseMatrixOracle>(
-                         std::move(distances))
-                   : nullptr,
-               std::move(pairs), distanceThreshold) {}
 
 Instance Instance::fromFailureThreshold(msc::graph::Graph g,
                                         std::vector<SocialPair> pairs,

@@ -5,10 +5,10 @@
 // d_t = -ln(1 - p_t). Every algorithm in this library consumes instances;
 // they are immutable after construction so evaluators can safely share them.
 //
-// The distance layer is pluggable (graph/distance_oracle.h): small
-// instances keep the historical dense APSP matrix, large ones store only
-// the social-pair rows. Construction prefetches the pair-node rows so
-// every evaluator starts from cached data.
+// Distances come from a graph::DistanceOracle: small instances hold every
+// APSP row resident, large ones store only the social-pair rows.
+// Construction prefetches the pair-node rows so every evaluator starts from
+// cached data.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +32,15 @@ struct InstanceOptions {
   /// 0 = all hardware threads. Values are identical for any count.
   int threads = 1;
 
-  /// Distance backend: Auto picks dense up to kDenseAutoNodeLimit nodes
-  /// and pair-centric above (see graph/distance_oracle.h for the
-  /// numerical contract between the two).
+  /// Oracle residency: Auto holds all rows (dense) up to
+  /// kDenseAutoNodeLimit nodes and lazy pair-centric rows above (see
+  /// graph/distance_oracle.h for the numerical contract between the two).
   msc::graph::DistanceMode distanceMode = msc::graph::DistanceMode::Auto;
 
-  /// ALT landmark count for the pair-centric backend (ignored by dense).
+  /// ALT landmark count for the pair-centric mode (ignored by dense).
   int landmarkCount = 8;
 
-  /// Row-cache byte budget for the pair-centric backend (0 = unbounded).
+  /// Row-cache byte budget for the pair-centric mode (0 = unbounded).
   /// Defaults to the MSC_ORACLE_ROWS_MB environment knob. Evicted rows
   /// re-materialize bit-identically, so results never depend on it.
   std::size_t oracleRowBudgetBytes = msc::graph::defaultOracleRowBudgetBytes();
@@ -48,13 +48,13 @@ struct InstanceOptions {
 
 class Instance {
  public:
-  /// Takes ownership of the graph and builds the distance backend per
+  /// Takes ownership of the graph and builds the distance oracle per
   /// `options` (pair-node rows are prefetched eagerly). Validates pair
   /// endpoints and that distanceThreshold >= 0.
   Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,
            double distanceThreshold, const InstanceOptions& options);
 
-  /// Positional compatibility form: Auto backend, `threads` workers.
+  /// Positional compatibility form: Auto mode, `threads` workers.
   Instance(msc::graph::Graph g, std::vector<SocialPair> pairs,
            double distanceThreshold, int threads = 1)
       : Instance(std::move(g), std::move(pairs), distanceThreshold,
@@ -76,21 +76,15 @@ class Instance {
   /// oracle must describe `graph` (the node count is validated, the values
   /// are trusted); pair/threshold validation matches the computing
   /// constructor, so the result is indistinguishable from it. `threads`
-  /// parallelizes the pair-node row prefetch on lazy backends.
+  /// parallelizes the pair-node row prefetch in the lazy mode.
   Instance(std::shared_ptr<const msc::graph::Graph> graph,
            std::shared_ptr<const msc::graph::DistanceOracle> oracle,
            std::vector<SocialPair> pairs, double distanceThreshold,
            int threads = 1);
 
-  /// Compatibility form of the sharing constructor: wraps the matrix in a
-  /// dense oracle. `distances` must be allPairsDistances(*graph).
-  Instance(std::shared_ptr<const msc::graph::Graph> graph,
-           std::shared_ptr<const msc::graph::DistanceMatrix> distances,
-           std::vector<SocialPair> pairs, double distanceThreshold);
-
   const msc::graph::Graph& graph() const noexcept { return *graph_; }
 
-  /// The distance backend. Evaluators read base distances through this
+  /// The distance oracle. Evaluators read base distances through this
   /// (pair-node rows are prefetched at construction).
   const msc::graph::DistanceOracle& distanceOracle() const noexcept {
     return *oracle_;

@@ -66,15 +66,39 @@ std::optional<DistanceMode> parseDistanceMode(std::string_view name) noexcept {
 
 // ------------------------------------------------------ DistanceOracle ----
 
+DistanceOracle::DistanceOracle(std::shared_ptr<const Graph> graph,
+                               Config config)
+    : graph_(std::move(graph)), budget_(config.rowBudgetBytes) {
+  if (!graph_) {
+    throw std::invalid_argument("DistanceOracle: null graph");
+  }
+  if (config.landmarks < 0) {
+    throw std::invalid_argument("DistanceOracle: negative landmark count");
+  }
+  selectLandmarks(std::min(config.landmarks, graph_->nodeCount()));
+  if (!landmarkIds_.empty()) {
+    // Value-initialized: per-landmark usefulness counts start at 0.
+    landmarkUseful_ =
+        std::make_unique<std::atomic<std::uint64_t>[]>(landmarkIds_.size());
+  }
+}
+
+DistanceOracle::DistanceOracle(std::shared_ptr<const Graph> graph,
+                               AllRowsResident mode)
+    : graph_(std::move(graph)), allRows_(true) {
+  if (!graph_) {
+    throw std::invalid_argument("DistanceOracle: null graph");
+  }
+  matrix_ = allPairsDistances(*graph_, mode.threads);
+  bytes_.store(matrix_.rows() * matrix_.cols() * sizeof(double) +
+                   kObjectOverhead,
+               std::memory_order_relaxed);
+}
+
 void DistanceOracle::checkNode(NodeId v) const {
   if (v < 0 || v >= nodeCount()) {
     throw std::out_of_range("DistanceOracle: node index out of range");
   }
-}
-
-void DistanceOracle::prefetchRows(std::span<const NodeId> sources,
-                                  int /*threads*/) const {
-  for (const NodeId v : sources) checkNode(v);
 }
 
 util::Matrix<double> DistanceOracle::distancesToTerminals(
@@ -93,121 +117,7 @@ util::Matrix<double> DistanceOracle::distancesToTerminals(
   return out;
 }
 
-OracleStats DistanceOracle::stats() const {
-  OracleStats s;
-  s.terminalBatches = terminalBatches_.load(std::memory_order_relaxed);
-  s.residentBytes = residentBytes();
-  return s;
-}
-
-// --------------------------------------------------- DenseMatrixOracle ----
-
-DenseMatrixOracle::DenseMatrixOracle(
-    std::shared_ptr<const DistanceMatrix> matrix)
-    : owned_(std::move(matrix)), matrix_(owned_.get()) {
-  if (!matrix_) {
-    throw std::invalid_argument("DenseMatrixOracle: null matrix");
-  }
-  if (matrix_->rows() != matrix_->cols()) {
-    throw std::invalid_argument("DenseMatrixOracle: matrix must be square");
-  }
-  initTouched();
-}
-
-DenseMatrixOracle::DenseMatrixOracle(const DistanceMatrix& matrix)
-    : matrix_(&matrix) {
-  if (matrix_->rows() != matrix_->cols()) {
-    throw std::invalid_argument("DenseMatrixOracle: matrix must be square");
-  }
-  initTouched();
-}
-
-void DenseMatrixOracle::initTouched() {
-  // Value-initialized array: every flag starts 0.
-  rowTouched_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(matrix_->rows());
-}
-
-std::shared_ptr<DenseMatrixOracle> DenseMatrixOracle::build(const Graph& g,
-                                                            int threads) {
-  return std::make_shared<DenseMatrixOracle>(
-      std::make_shared<const DistanceMatrix>(allPairsDistances(g, threads)));
-}
-
-double DenseMatrixOracle::distance(NodeId x, NodeId y) const {
-  checkNode(x);
-  checkNode(y);
-  pointQueries_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* ctx = obs::currentRequest()) {
-    ctx->oracle().pointQueries.fetch_add(1, std::memory_order_relaxed);
-  }
-  return (*matrix_)(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
-}
-
-std::span<const double> DenseMatrixOracle::distancesFrom(NodeId v) const {
-  checkNode(v);
-  rowQueries_.fetch_add(1, std::memory_order_relaxed);
-  rowTouched_[static_cast<std::size_t>(v)].store(1, std::memory_order_relaxed);
-  if (auto* ctx = obs::currentRequest()) {
-    auto& usage = ctx->oracle();
-    usage.rowQueries.fetch_add(1, std::memory_order_relaxed);
-    usage.rowHits.fetch_add(1, std::memory_order_relaxed);
-  }
-  return {matrix_->row(static_cast<std::size_t>(v)), matrix_->cols()};
-}
-
-void DenseMatrixOracle::prefetchRows(std::span<const NodeId> sources,
-                                     int /*threads*/) const {
-  for (const NodeId v : sources) checkNode(v);  // all rows already resident
-}
-
-std::size_t DenseMatrixOracle::residentBytes() const noexcept {
-  // A borrowed matrix is charged to whoever owns it (the serve cache
-  // already bills its memoized matrices), so only owning oracles report.
-  if (!owned_) return 0;
-  return matrix_->rows() * matrix_->cols() * sizeof(double) + kObjectOverhead;
-}
-
-OracleStats DenseMatrixOracle::stats() const {
-  OracleStats s = DistanceOracle::stats();
-  s.pointQueries = pointQueries_.load(std::memory_order_relaxed);
-  s.rowQueries = rowQueries_.load(std::memory_order_relaxed);
-  // Every dense row query is served from the resident matrix.
-  s.rowHits = s.rowQueries;
-  s.rowsResident = matrix_->rows();
-  std::size_t touched = 0;
-  for (std::size_t i = 0; i < matrix_->rows(); ++i) {
-    touched += rowTouched_[i].load(std::memory_order_relaxed);
-  }
-  s.rowsTouched = touched;
-  return s;
-}
-
-// --------------------------------------------------- PairCentricOracle ----
-
-PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph)
-    : PairCentricOracle(std::move(graph), Config{}) {}
-
-PairCentricOracle::PairCentricOracle(std::shared_ptr<const Graph> graph,
-                                     Config config)
-    : graph_(std::move(graph)),
-      budget_(config.rowBudgetBytes) {
-  if (!graph_) {
-    throw std::invalid_argument("PairCentricOracle: null graph");
-  }
-  if (config.landmarks < 0) {
-    throw std::invalid_argument("PairCentricOracle: negative landmark count");
-  }
-  rowRequested_.assign(static_cast<std::size_t>(graph_->nodeCount()), 0);
-  selectLandmarks(std::min(config.landmarks, graph_->nodeCount()));
-  if (!landmarkIds_.empty()) {
-    // Value-initialized: per-landmark usefulness counts start at 0.
-    landmarkUseful_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(landmarkIds_.size());
-  }
-}
-
-void PairCentricOracle::selectLandmarks(int count) {
+void DistanceOracle::selectLandmarks(int count) {
   const int n = graph_->nodeCount();
   if (count <= 0 || n == 0) return;
   // Deterministic farthest-point sweep: start at node 0, then repeatedly
@@ -223,18 +133,9 @@ void PairCentricOracle::selectLandmarks(int count) {
       distToSet[v] = std::min(distToSet[v], row[v]);
     }
     landmarkIds_.push_back(next);
-    auto data = std::make_shared<const std::vector<double>>(std::move(row));
-    const auto [it, inserted] = rows_.emplace(next, Row{});
-    if (inserted) {
-      it->second.data = data;
-      it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
-      it->second.pinned = true;
-      rowCacheBytes_ += oracleRowBytes(static_cast<std::size_t>(n));
-      bytes_.fetch_add(oracleRowBytes(static_cast<std::size_t>(n)),
-                       std::memory_order_relaxed);
-    }
-    landmarkRows_.push_back(it->second.data);
+    Row& stored = storeLocked(next, std::move(row));
+    stored.pinned = true;
+    landmarkRows_.push_back(stored.data);
     if (pick + 1 == count) break;
     next = -1;
     double best = -1.0;
@@ -249,15 +150,7 @@ void PairCentricOracle::selectLandmarks(int count) {
   }
 }
 
-void PairCentricOracle::noteRowTouchedLocked(NodeId v) const {
-  auto& flag = rowRequested_[static_cast<std::size_t>(v)];
-  if (flag == 0) {
-    flag = 1;
-    ++rowsTouched_;
-  }
-}
-
-std::vector<double> PairCentricOracle::buildRow(NodeId v) const {
+std::vector<double> DistanceOracle::buildRow(NodeId v) const {
   const std::int64_t t0 = steadyNowNs();
   std::vector<double> dist(static_cast<std::size_t>(graph_->nodeCount()));
   dijkstraRow(*graph_, v, dist);
@@ -274,7 +167,21 @@ std::vector<double> PairCentricOracle::buildRow(NodeId v) const {
   return dist;
 }
 
-void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
+DistanceOracle::Row& DistanceOracle::storeLocked(
+    NodeId v, std::vector<double>&& dist) const {
+  const auto [it, inserted] = rows_.emplace(v, Row{});
+  if (inserted) {
+    it->second.data =
+        std::make_shared<const std::vector<double>>(std::move(dist));
+    const std::size_t bytes = oracleRowBytes(it->second.data->size());
+    rowCacheBytes_ += bytes;
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  it->second.touch = ++touchSeq_;
+  return it->second;
+}
+
+void DistanceOracle::enforceBudgetLocked(NodeId protect) const {
   if (budget_ == 0) return;
   const bool leased = leases_.load(std::memory_order_acquire) > 0;
   std::uint64_t evicted = 0;
@@ -317,15 +224,16 @@ void PairCentricOracle::enforceBudgetLocked(NodeId protect) const {
   }
 }
 
-std::shared_ptr<void> PairCentricOracle::acquireRowLease() const {
+std::shared_ptr<void> DistanceOracle::acquireRowLease() const {
+  if (allRows_) return nullptr;  // nothing is ever evicted
   leases_.fetch_add(1, std::memory_order_acq_rel);
-  auto* self = const_cast<PairCentricOracle*>(this);
+  auto* self = const_cast<DistanceOracle*>(this);
   return std::shared_ptr<void>(static_cast<void*>(self), [](void* p) {
-    static_cast<const PairCentricOracle*>(p)->releaseRowLease();
+    static_cast<const DistanceOracle*>(p)->releaseRowLease();
   });
 }
 
-void PairCentricOracle::releaseRowLease() const {
+void DistanceOracle::releaseRowLease() const {
   if (leases_.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   // Last lease gone: free the parked rows. Re-check under the lock — a new
   // lease acquired meanwhile keeps them conservatively.
@@ -342,12 +250,15 @@ void PairCentricOracle::releaseRowLease() const {
   }
 }
 
-double PairCentricOracle::distance(NodeId x, NodeId y) const {
+double DistanceOracle::distance(NodeId x, NodeId y) const {
   checkNode(x);
   checkNode(y);
   pointQueries_.fetch_add(1, std::memory_order_relaxed);
   if (auto* ctx = obs::currentRequest()) {
     ctx->oracle().pointQueries.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (allRows_) {
+    return matrix_(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
   }
   if (x == y) return 0.0;
   const NodeId s = std::min(x, y);
@@ -356,12 +267,10 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
     const std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = rows_.find(s); it != rows_.end()) {
       it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
       return (*it->second.data)[static_cast<std::size_t>(t)];
     }
     if (const auto it = rows_.find(t); it != rows_.end()) {
       it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
       return (*it->second.data)[static_cast<std::size_t>(s)];
     }
   }
@@ -372,19 +281,22 @@ double PairCentricOracle::distance(NodeId x, NodeId y) const {
   return altPointQuery(s, t);
 }
 
-std::span<const double> PairCentricOracle::distancesFrom(NodeId v) const {
+std::span<const double> DistanceOracle::distancesFrom(NodeId v) const {
   checkNode(v);
   rowQueries_.fetch_add(1, std::memory_order_relaxed);
   auto* ctx = obs::currentRequest();
   if (ctx) {
     ctx->oracle().rowQueries.fetch_add(1, std::memory_order_relaxed);
   }
+  if (allRows_) {
+    // Every resident row is a hit; stats() derives the oracle's own count.
+    if (ctx) ctx->oracle().rowHits.fetch_add(1, std::memory_order_relaxed);
+    return {matrix_.row(static_cast<std::size_t>(v)), matrix_.cols()};
+  }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    noteRowTouchedLocked(v);
     if (const auto it = rows_.find(v); it != rows_.end()) {
       it->second.touch = ++touchSeq_;
-      it->second.touchNs = steadyNowNs();
       rowHits_.fetch_add(1, std::memory_order_relaxed);
       if (ctx) ctx->oracle().rowHits.fetch_add(1, std::memory_order_relaxed);
       return *it->second.data;
@@ -396,29 +308,23 @@ std::span<const double> PairCentricOracle::distancesFrom(NodeId v) const {
   }
   auto dist = buildRow(v);
   const std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = rows_.emplace(v, Row{});
-  if (inserted) {
-    it->second.data =
-        std::make_shared<const std::vector<double>>(std::move(dist));
-    rowCacheBytes_ += oracleRowBytes(it->second.data->size());
-    bytes_.fetch_add(oracleRowBytes(it->second.data->size()),
-                     std::memory_order_relaxed);
-  }
-  it->second.touch = ++touchSeq_;
-  it->second.touchNs = steadyNowNs();
+  const Row& row = storeLocked(v, std::move(dist));
   enforceBudgetLocked(v);
-  return *it->second.data;
+  return *row.data;
 }
 
-void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
-                                     int threads) const {
+void DistanceOracle::prefetchRows(std::span<const NodeId> sources,
+                                  int threads) const {
+  if (allRows_) {
+    for (const NodeId v : sources) checkNode(v);
+    return;
+  }
   std::vector<NodeId> need;
   need.reserve(sources.size());
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (const NodeId v : sources) {
       checkNode(v);
-      noteRowTouchedLocked(v);
       if (!rows_.contains(v)) need.push_back(v);
     }
   }
@@ -455,21 +361,12 @@ void PairCentricOracle::prefetchRows(std::span<const NodeId> sources,
   }
   const std::lock_guard<std::mutex> lock(mu_);
   for (std::size_t i = 0; i < need.size(); ++i) {
-    const auto [it, inserted] = rows_.emplace(need[i], Row{});
-    if (inserted) {
-      it->second.data =
-          std::make_shared<const std::vector<double>>(std::move(computed[i]));
-      rowCacheBytes_ += oracleRowBytes(it->second.data->size());
-      bytes_.fetch_add(oracleRowBytes(it->second.data->size()),
-                       std::memory_order_relaxed);
-    }
-    it->second.touch = ++touchSeq_;
-    it->second.touchNs = steadyNowNs();
+    storeLocked(need[i], std::move(computed[i]));
   }
-  enforceBudgetLocked(need.empty() ? -1 : need.back());
+  enforceBudgetLocked(need.back());
 }
 
-double PairCentricOracle::altPointQuery(NodeId s, NodeId t) const {
+double DistanceOracle::altPointQuery(NodeId s, NodeId t) const {
   altQueries_.fetch_add(1, std::memory_order_relaxed);
   auto* ctx = obs::currentRequest();
   if (ctx) {
@@ -521,9 +418,9 @@ double PairCentricOracle::altPointQuery(NodeId s, NodeId t) const {
   return result;
 }
 
-double PairCentricOracle::altSearch(NodeId s, NodeId t,
-                                    std::size_t& settledOut,
-                                    double& boundOut) const {
+double DistanceOracle::altSearch(NodeId s, NodeId t,
+                                 std::size_t& settledOut,
+                                 double& boundOut) const {
   const Graph& g = *graph_;
   const auto n = static_cast<std::size_t>(g.nodeCount());
   // ALT lower bound on d(v, t): the landmark triangle inequality gives
@@ -577,32 +474,26 @@ double PairCentricOracle::altSearch(NodeId s, NodeId t,
   return kInfDist;
 }
 
-std::size_t PairCentricOracle::cachedRowCount() const {
+std::size_t DistanceOracle::cachedRowCount() const {
+  if (allRows_) return matrix_.rows();
   const std::lock_guard<std::mutex> lock(mu_);
   return rows_.size();
 }
 
-OracleStats PairCentricOracle::stats() const {
-  OracleStats s = DistanceOracle::stats();
+OracleStats DistanceOracle::stats() const {
+  OracleStats s;
   s.pointQueries = pointQueries_.load(std::memory_order_relaxed);
   s.rowQueries = rowQueries_.load(std::memory_order_relaxed);
+  s.terminalBatches = terminalBatches_.load(std::memory_order_relaxed);
   s.rowBuilds = rowBuilds_.load(std::memory_order_relaxed);
-  s.rowHits = rowHits_.load(std::memory_order_relaxed);
+  // Every resident row query is served from the matrix.
+  s.rowHits =
+      allRows_ ? s.rowQueries : rowHits_.load(std::memory_order_relaxed);
   s.altQueries = altQueries_.load(std::memory_order_relaxed);
   s.rowsEvicted = rowsEvicted_.load(std::memory_order_relaxed);
   s.rowBuildNs = rowBuildNs_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    s.rowsResident = rows_.size();
-    s.rowsTouched = rowsTouched_;
-    const std::int64_t now = steadyNowNs();
-    std::int64_t oldest = 0;
-    for (const auto& [id, row] : rows_) {
-      if (row.pinned) continue;
-      oldest = std::max(oldest, now - row.touchNs);
-    }
-    s.oldestRowAgeNs = oldest;
-  }
+  s.rowsResident = cachedRowCount();
+  s.residentBytes = residentBytes();
   if (landmarkUseful_) {
     s.landmarkUseful.reserve(landmarkIds_.size());
     for (std::size_t i = 0; i < landmarkIds_.size(); ++i) {
@@ -613,94 +504,6 @@ OracleStats PairCentricOracle::stats() const {
   return s;
 }
 
-// ---------------------------------------------- measured auto-mode policy --
-
-namespace {
-
-unsigned long long denseMatrixBytes(int n) noexcept {
-  const auto un = static_cast<unsigned long long>(n);
-  return un * un * sizeof(double);
-}
-
-}  // namespace
-
-AutoPolicyDecision autoInitialBackend(int nodeCount) {
-  AutoPolicyDecision d;
-  const auto denseBytes = denseMatrixBytes(nodeCount);
-  if (nodeCount <= kDenseAutoNodeLimit) {
-    d.backend = DistanceMode::Dense;
-    d.reason = "node_count=" + std::to_string(nodeCount) +
-               " <= dense_auto_limit=" + std::to_string(kDenseAutoNodeLimit) +
-               ": dense matrix (" + std::to_string(denseBytes) +
-               " bytes) is cheap and O(1) per query";
-  } else {
-    d.backend = DistanceMode::PairCentric;
-    d.reason = "node_count=" + std::to_string(nodeCount) +
-               " > dense_auto_limit=" + std::to_string(kDenseAutoNodeLimit) +
-               ": dense matrix would be " + std::to_string(denseBytes) +
-               " bytes";
-  }
-  return d;
-}
-
-AutoPolicyDecision autoRevalidateBackend(int nodeCount,
-                                         std::string_view currentBackend,
-                                         const OracleStats& measured) {
-  AutoPolicyDecision d;
-  const auto denseBytes = denseMatrixBytes(nodeCount);
-  if (currentBackend == "pair_centric") {
-    d.backend = DistanceMode::PairCentric;
-    const auto resident =
-        static_cast<unsigned long long>(measured.residentBytes);
-    if (denseBytes > 0 && resident * 2 > denseBytes) {
-      d.backend = DistanceMode::Dense;
-      d.switchBackend = true;
-      d.reason = "resident_row_bytes=" + std::to_string(resident) +
-                 " > dense_matrix_bytes/2=" + std::to_string(denseBytes / 2) +
-                 " (rows_touched=" + std::to_string(measured.rowsTouched) +
-                 ", point_queries=" + std::to_string(measured.pointQueries) +
-                 ", row_queries=" + std::to_string(measured.rowQueries) +
-                 "): the lazy row cache stopped paying for itself";
-    } else {
-      d.reason = "resident_row_bytes=" + std::to_string(resident) +
-                 " <= dense_matrix_bytes/2=" + std::to_string(denseBytes / 2) +
-                 ": row cache still pays for itself";
-    }
-    return d;
-  }
-  // Dense backend: predict the pair-centric footprint from the rows the
-  // workload actually touched (plus the 8 default landmark rows).
-  d.backend = DistanceMode::Dense;
-  const auto predicted = static_cast<unsigned long long>(
-      (measured.rowsTouched + 8) *
-      oracleRowBytes(static_cast<std::size_t>(nodeCount)));
-  const std::uint64_t rowQ = std::max<std::uint64_t>(measured.rowQueries, 1);
-  const bool rowDominated = measured.pointQueries <= 4 * rowQ;
-  if (nodeCount > kDenseAutoNodeLimit && rowDominated &&
-      predicted * 4 <= denseBytes) {
-    d.backend = DistanceMode::PairCentric;
-    d.switchBackend = true;
-    d.reason = "rows_touched=" + std::to_string(measured.rowsTouched) +
-               " of n=" + std::to_string(nodeCount) +
-               " predicts pair_centric_bytes=" + std::to_string(predicted) +
-               " <= dense_matrix_bytes/4=" + std::to_string(denseBytes / 4) +
-               " with row-dominated queries (point_queries=" +
-               std::to_string(measured.pointQueries) +
-               ", row_queries=" + std::to_string(measured.rowQueries) + ")";
-  } else {
-    d.reason = "keep dense: rows_touched=" +
-               std::to_string(measured.rowsTouched) +
-               " predicts pair_centric_bytes=" + std::to_string(predicted) +
-               " vs dense_matrix_bytes/4=" + std::to_string(denseBytes / 4) +
-               ", point_queries=" + std::to_string(measured.pointQueries) +
-               ", row_queries=" + std::to_string(measured.rowQueries) +
-               (nodeCount <= kDenseAutoNodeLimit
-                    ? " (n within the dense auto limit)"
-                    : "");
-  }
-  return d;
-}
-
 // -------------------------------------------------------------- factory ----
 
 std::shared_ptr<const DistanceOracle> makeDistanceOracle(
@@ -709,16 +512,17 @@ std::shared_ptr<const DistanceOracle> makeDistanceOracle(
   if (!graph) {
     throw std::invalid_argument("makeDistanceOracle: null graph");
   }
-  const bool dense =
+  const bool allRows =
       mode == DistanceMode::Dense ||
       (mode == DistanceMode::Auto && graph->nodeCount() <= kDenseAutoNodeLimit);
-  if (dense) {
-    return DenseMatrixOracle::build(*graph, threads);
+  if (allRows) {
+    return std::make_shared<const DistanceOracle>(
+        std::move(graph), DistanceOracle::AllRowsResident{.threads = threads});
   }
-  return std::make_shared<const PairCentricOracle>(
+  return std::make_shared<const DistanceOracle>(
       std::move(graph),
-      PairCentricOracle::Config{.landmarks = landmarks,
-                                .rowBudgetBytes = rowBudgetBytes});
+      DistanceOracle::Config{.landmarks = landmarks,
+                             .rowBudgetBytes = rowBudgetBytes});
 }
 
 }  // namespace msc::graph

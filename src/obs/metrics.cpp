@@ -143,6 +143,7 @@ Family& Registry::family(std::string_view name, MetricType type,
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = families_.find(name);
   if (it == families_.end()) {
+    checkNameFreeLocked(name, "family");
     return families_
         .try_emplace(std::string(name), std::string(name), type,
                      std::string(help), std::move(labels))
@@ -179,6 +180,7 @@ Stat& Registry::stat(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = stats_.find(name);
   if (it == stats_.end()) {
+    checkNameFreeLocked(name, "stat");
     it = stats_.try_emplace(std::string(name)).first;
   }
   return it->second;
@@ -188,9 +190,26 @@ Histogram& Registry::histogram(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
+    checkNameFreeLocked(name, "histogram");
     it = histograms_.try_emplace(std::string(name)).first;
   }
   return it->second;
+}
+
+void Registry::checkNameFreeLocked(std::string_view name,
+                                   std::string_view kind) const {
+  const char* taken = nullptr;
+  if (families_.find(name) != families_.end()) {
+    taken = "family";
+  } else if (stats_.find(name) != stats_.end()) {
+    taken = "stat";
+  } else if (histograms_.find(name) != histograms_.end()) {
+    taken = "histogram";
+  }
+  if (taken == nullptr) return;
+  throw std::logic_error("metric name " + std::string(name) +
+                         " registered as a " + taken + " and as a " +
+                         std::string(kind));
 }
 
 void Registry::reset() {

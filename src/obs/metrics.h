@@ -195,7 +195,9 @@ class Registry {
   }
 
   /// Declares family `name`, or returns the one already declared (a
-  /// redeclaration with another type throws std::logic_error). `name` is a
+  /// redeclaration with another type throws std::logic_error). One name
+  /// is one kind: registering a name already taken by another of family,
+  /// stat or histogram throws std::logic_error naming both. `name` is a
   /// registry name ("serve.oracle.rows"); the exporters derive the
   /// exposition name from it.
   Family& family(std::string_view name, MetricType type, std::string_view help,
@@ -246,6 +248,10 @@ class Registry {
   std::vector<HistogramRow> histograms() const;
 
  private:
+  /// Throws std::logic_error when `name` is already registered as another
+  /// kind than `kind`. Caller holds mu_ and has checked its own map.
+  void checkNameFreeLocked(std::string_view name, std::string_view kind) const;
+
   mutable std::mutex mu_;
   std::map<std::string, Family, std::less<>> families_;
   std::map<std::string, Stat, std::less<>> stats_;

@@ -7,7 +7,6 @@
 #include <string_view>
 
 #include "obs/context.h"
-#include "obs/log.h"
 
 namespace msc::serve {
 
@@ -220,72 +219,21 @@ void InstanceCache::dropOracle(GraphEntry& entry) {
   entry.oracleBytes = 0;
 }
 
-namespace {
-
-void logModeDecision(const std::string& key, const char* decision,
-                     const char* from, const char* to, int nodes,
-                     const std::string& reason) {
-  if (!obs::log::enabled(obs::log::Level::Info)) return;
-  std::vector<obs::log::Field> fields{
-      {"graph", key},
-      {"decision", decision},
-      {"to", to},
-      {"nodes", static_cast<std::int64_t>(nodes)},
-      {"reason", reason},
-  };
-  if (from != nullptr) fields.emplace_back("from", from);
-  obs::log::write(obs::log::Level::Info, "serve.oracle_mode_decision",
-                  fields);
-}
-
-}  // namespace
-
-bool InstanceCache::ensureOracle(const std::string& key, GraphEntry& entry,
-                                 int threads) {
-  const int n = entry.graph->nodeCount();
+bool InstanceCache::ensureOracle(GraphEntry& entry, int threads) {
   if (entry.oracle) {
-    if (entry.mode == msc::graph::DistanceMode::Auto) {
-      // Measured auto policy (docs/ALGORITHMS.md §16): the initial pick is
-      // a guess from n alone; every reuse re-checks it against the query
-      // mix the oracle actually observed and rebuilds when the evidence
-      // says the other backend is cheaper.
-      const msc::graph::AutoPolicyDecision d =
-          msc::graph::autoRevalidateBackend(n, entry.oracle->mode(),
-                                            entry.oracle->stats());
-      if (d.switchBackend) {
-        ++counters_.oracleModeSwitches;
-        logModeDecision(key, "switch", entry.oracle->mode(),
-                        msc::graph::distanceModeName(d.backend), n, d.reason);
-        dropOracle(entry);
-        ++counters_.apspComputes;
-        const obs::ScopedPhaseTimer phase(obs::Phase::Apsp);
-        entry.oracle = msc::graph::makeDistanceOracle(
-            entry.graph, d.backend, /*landmarks=*/8, threads,
-            oracleRowBudgetBytes_);
-        refreshOracleBytes(entry);
-        return false;
-      }
-    }
     ++counters_.apspHits;
-    // Lazy backends grew since the last touch (rows cached by solves);
+    // Lazy oracles grew since the last touch (rows cached by solves);
     // pick the delta up so the budget still bounds them.
     refreshOracleBytes(entry);
     return true;
   }
   ++counters_.apspComputes;
-  msc::graph::DistanceMode buildMode = entry.mode;
-  if (entry.mode == msc::graph::DistanceMode::Auto) {
-    const msc::graph::AutoPolicyDecision d = msc::graph::autoInitialBackend(n);
-    buildMode = d.backend;
-    logModeDecision(key, "initial", /*from=*/nullptr,
-                    msc::graph::distanceModeName(d.backend), n, d.reason);
-  }
   // Request-phase attribution: the distance build is the dominant
   // cold-cache cost, so it gets its own phase in the serve usage block
   // (§14). Covers both the dense APSP and the pair-centric landmark runs.
   const obs::ScopedPhaseTimer phase(obs::Phase::Apsp);
   entry.oracle = msc::graph::makeDistanceOracle(
-      entry.graph, buildMode, /*landmarks=*/8, threads, oracleRowBudgetBytes_);
+      entry.graph, entry.mode, /*landmarks=*/8, threads, oracleRowBudgetBytes_);
   refreshOracleBytes(entry);
   return false;
 }
@@ -319,7 +267,7 @@ core::Instance InstanceCache::instance(const std::string& graphKey,
                                "\" (never loaded, or evicted — re-send "
                                "load_pairs)");
     }
-    const bool hit = ensureOracle(graphKey, *gEntry, threads);
+    const bool hit = ensureOracle(*gEntry, threads);
     if (apspWasCached) *apspWasCached = hit;
     graph = gEntry->graph;
     oracle = gEntry->oracle;

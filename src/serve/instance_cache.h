@@ -55,21 +55,17 @@ class InstanceCache {
     std::uint64_t apspHits = 0;      ///< solves that reused a memoized oracle
     std::uint64_t apspComputes = 0;  ///< solves that had to build one
     std::uint64_t evictions = 0;
-    /// Auto-mode revalidations that rebuilt the oracle on the other backend
-    /// (each also counts as an apspCompute).
-    std::uint64_t oracleModeSwitches = 0;
     std::size_t bytesUsed = 0;
     std::size_t byteBudget = 0;
     std::size_t entries = 0;
     // Built distance oracles by backend (live entry counts).
     std::size_t oraclesDense = 0;
     std::size_t oraclesPairCentric = 0;
-    /// Oracle telemetry summed per backend: the live OracleStats of every
+    /// Oracle telemetry summed per mode: the live OracleStats of every
     /// cached oracle plus the counts of every oracle that already left the
-    /// cache (eviction, auto-mode switch, reload under another mode,
-    /// clear()), so the counts never decrease. The gauges rowsResident and
-    /// residentBytes cover cached oracles only; rowsTouched and
-    /// oldestRowAgeNs are not summed.
+    /// cache (eviction, reload under another mode, clear()), so the counts
+    /// never decrease. The gauges rowsResident and residentBytes cover
+    /// cached oracles only.
     msc::graph::OracleStats oracleDense;
     msc::graph::OracleStats oraclePairCentric;
 
@@ -146,16 +142,10 @@ class InstanceCache {
   PairsEntry* findPairsEntry(const std::string& key, bool countStats);
   /// Memoizes the distance oracle for an entry (the dense build runs APSP
   /// under the lock). Returns true when the oracle was already present.
-  /// Under DistanceMode::Auto the backend pick is measurement-driven: the
-  /// initial build uses the static node-count rule, every later hit
-  /// re-validates against the oracle's observed query mix
-  /// (graph/distance_oracle.h autoRevalidateBackend) and rebuilds on the
-  /// other backend when the measurements say so — logged as a structured
-  /// "serve.oracle_mode_decision" event naming the quantities. A switch
-  /// returns false (the caller reports an APSP miss: the build really ran).
-  bool ensureOracle(const std::string& key, GraphEntry& entry, int threads);
-  /// Drops the memoized oracle and unwinds its byte charge (mode change,
-  /// auto-policy switch).
+  /// The oracle keeps the mode it was built with (makeDistanceOracle's
+  /// static Auto rule) until the entry is dropped or re-loaded.
+  bool ensureOracle(GraphEntry& entry, int threads);
+  /// Drops the memoized oracle and unwinds its byte charge (mode change).
   void dropOracle(GraphEntry& entry);
   /// Folds a departing oracle's counts into its backend's retired total.
   void retireOracle(const msc::graph::DistanceOracle& oracle);

@@ -228,11 +228,6 @@ void registerEngineMetrics(obs::Registry& reg, const InstanceCache& cache) {
     queries.observe({mode, "terminal_batch"},
                     read(mode, &Stats::terminalBatches));
   }
-  reg.family("serve.oracle.mode_switches", MetricType::Counter,
-             "auto-mode backend rebuilds driven by measured query mix")
-      .observe({}, [&cache] {
-        return static_cast<double>(cache.stats().oracleModeSwitches);
-      });
   reg.family("serve.cancellations", MetricType::Counter,
              "requests stopped early and answered with an anytime result, "
              "by reason",
@@ -257,7 +252,6 @@ std::string Engine::handleLine(const std::string& line) {
     return handle(parseRequest(line));
   } catch (const ProtocolError& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    bumpCounter("serve.errors");
     return errorResponse(e.id, e.what());
   }
 }
@@ -269,7 +263,6 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
   MSC_OBS_SPAN("serve.request");
   obs::ScopedSpan cmdSpan(commandSpanName(request.cmd));
   requests_.fetch_add(1, std::memory_order_relaxed);
-  bumpCounter("serve.requests");
   if (obs::enabled()) obs::counter(commandSpanName(request.cmd)).add(1);
   // Always-on latency histograms: a few relaxed atomics per request, cheap
   // enough that tail latency stays visible without MSC_METRICS.
@@ -455,9 +448,6 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
       metrics_.family("serve.cancellations")
           .counter({util::cancelReasonName(reason)})
           .add(1);
-      bumpCounter(reason == util::CancelReason::Deadline
-                      ? "serve.cancelled.deadline"
-                      : "serve.cancelled.client");
       usage["cancelled"] = util::cancelReasonName(reason);
     }
     fields["usage"] = std::move(usage);
@@ -465,7 +455,6 @@ std::string Engine::handle(const Request& request, double queueWaitSeconds,
                               status, wallExec, gainEvals);
   } catch (const std::exception& e) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    bumpCounter("serve.errors");
     status = "error";
     error = e.what();
     wallExec = wallSince();
@@ -822,10 +811,8 @@ json::Object Engine::cmdStats(const Request&) {
   oracleObj["pair_centric"] = cs.oraclesPairCentric;
   oracleObj["bytes_dense"] = cs.oracleDense.residentBytes;
   oracleObj["bytes_pair_centric"] = cs.oraclePairCentric.residentBytes;
-  // Measured auto-mode policy + query-mix telemetry (msc.serve.v1
-  // additions, docs/ALGORITHMS.md §16): the same per-backend sums the
-  // msc_serve_oracle_* families read.
-  oracleObj["mode_switches"] = cs.oracleModeSwitches;
+  // Query-mix telemetry (msc.serve.v1 additions, docs/ALGORITHMS.md
+  // §16): the same per-mode sums the msc_serve_oracle_* families read.
   const auto aggObj = [](const msc::graph::OracleStats& a) {
     json::Object o;
     o["point_queries"] = a.pointQueries;
@@ -1142,7 +1129,6 @@ struct ServerRun {
     try {
       request = parseRequest(line);
     } catch (const ProtocolError& e) {
-      bumpCounter("serve.errors");
       sink->write(errorResponse(e.id, e.what()));
       return;
     }

@@ -304,9 +304,9 @@ TEST(DijkstraRow, ParallelPrefetchIsBitIdentical) {
   for (msc::graph::NodeId v = 3; v < graph->nodeCount(); v += 23) {
     sources.push_back(v);
   }
-  using msc::graph::PairCentricOracle;
-  const PairCentricOracle serial(graph, PairCentricOracle::Config{4});
-  const PairCentricOracle parallel(graph, PairCentricOracle::Config{4});
+  using msc::graph::DistanceOracle;
+  const DistanceOracle serial(graph, DistanceOracle::Config{4});
+  const DistanceOracle parallel(graph, DistanceOracle::Config{4});
   serial.prefetchRows(sources, 1);
   parallel.prefetchRows(sources, 4);
   for (const auto s : sources) {

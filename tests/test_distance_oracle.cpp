@@ -1,16 +1,23 @@
-// Property suite for the DistanceOracle seam (ALGORITHMS.md §15): the
-// pair-centric backend must be observationally equivalent to the dense
-// matrix everywhere the solvers look. Sweeps every src/gen generator and
-// asserts sigma/mu/nu agree exactly between backends at 1 and 4 threads,
-// plus the corner cases the equivalence argument leans on: disconnected
-// pairs (kInfDist), degenerate landmark counts, ALT point-query vs row
-// bit-identity, and ShortcutRowStore vs the full-matrix relaxation.
+// Property suite for the DistanceOracle (ALGORITHMS.md §15): the lazy
+// pair-centric mode must be observationally equivalent to the all-rows-
+// resident dense mode everywhere the solvers look, and the dense mode must
+// be bit-identical to allPairsDistances, the reference. Sweeps every
+// src/gen generator and asserts sigma/mu/nu agree exactly between modes at
+// 1 and 4 threads, plus the corner cases the equivalence argument leans
+// on: disconnected pairs (kInfDist), degenerate landmark counts, ALT
+// point-query vs row bit-identity, ShortcutRowStore vs the full-matrix
+// relaxation, the static Auto rule, and concurrent lock-free reads of the
+// resident mode (the TSan job runs this binary).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,6 +36,7 @@
 #include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "helpers.h"
+#include "serve/instance_cache.h"
 #include "util/rng.h"
 
 namespace {
@@ -42,12 +50,11 @@ using msc::core::Shortcut;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
 using msc::core::SocialPair;
-using msc::graph::DenseMatrixOracle;
 using msc::graph::DistanceMode;
+using msc::graph::DistanceOracle;
 using msc::graph::Graph;
 using msc::graph::kInfDist;
 using msc::graph::NodeId;
-using msc::graph::PairCentricOracle;
 
 struct GenCase {
   std::string name;
@@ -55,7 +62,7 @@ struct GenCase {
 };
 
 // One representative topology per generator, sized so the dense path stays
-// cheap but paths are several edges long (where the backends could differ).
+// cheap but paths are several edges long (where the modes could differ).
 std::vector<GenCase> generatorSweep() {
   std::vector<GenCase> cases;
   {
@@ -119,9 +126,9 @@ std::vector<SocialPair> samplePairs(const Graph& g, int m,
 
 // A threshold that splits the sampled pairs: between the median finite
 // pair distance and the next distinct one, so sigma is neither 0 nor m
-// trivially. Deliberately NOT equal to any pair distance — the backends
+// trivially. Deliberately NOT equal to any pair distance — the modes
 // are allowed to differ in the last ulp, so a threshold sitting exactly
-// on a distance would make the <= dt comparison backend-dependent (the
+// on a distance would make the <= dt comparison mode-dependent (the
 // one documented exception to exact sigma/mu/nu agreement).
 double medianThreshold(const msc::graph::DistanceOracle& oracle,
                        const std::vector<SocialPair>& pairs) {
@@ -161,7 +168,7 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
     ASSERT_STREQ(denseT.distanceOracle().mode(), "dense");
     ASSERT_STREQ(pcT.distanceOracle().mode(), "pair_centric");
 
-    // Same placement evaluated by both backends: run greedy on the dense
+    // Same placement evaluated by both modes: run greedy on the dense
     // instance, then score that placement everywhere.
     const auto cands = CandidateSet::allPairs(gc.graph.nodeCount());
     SigmaEvaluator sigmaDense(denseT);
@@ -181,7 +188,7 @@ TEST_P(OracleBackendEquivalence, SigmaMuNuAgreeAcrossAllGenerators) {
     }
 
     // And the greedy trajectory itself is reproducible on the other
-    // backend: same picks, same value.
+    // mode: same picks, same value.
     const auto greedyPc = msc::core::greedyMaximize(
         sigmaPc, cands, {.k = 3, .threads = threads});
     EXPECT_EQ(greedy.placement, greedyPc.placement);
@@ -222,8 +229,7 @@ TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
 
   for (const int landmarks : {0, g.nodeCount(), g.nodeCount() + 5}) {
     SCOPED_TRACE(landmarks);
-    PairCentricOracle oracle(shared,
-                             PairCentricOracle::Config{landmarks});
+    DistanceOracle oracle(shared, DistanceOracle::Config{landmarks});
     EXPECT_LE(static_cast<int>(oracle.landmarks().size()), g.nodeCount());
     for (NodeId s = 0; s < g.nodeCount(); s += 5) {
       for (NodeId t = 0; t < g.nodeCount(); t += 3) {
@@ -246,7 +252,7 @@ TEST(OracleLandmarks, ZeroAndOversizedLandmarkCountsStayExact) {
 TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
   const auto g = msc::test::randomGraph(40, 0.1, 33);
   const auto shared = std::make_shared<const Graph>(g);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4});
+  DistanceOracle oracle(shared, DistanceOracle::Config{4});
 
   // Pick query endpoints that are not landmarks, so neither row is cached
   // and distance() must take the ALT A* path.
@@ -259,7 +265,7 @@ TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
     if (isLandmark(s)) continue;
     for (NodeId t = s + 1; t < g.nodeCount() && checked < 12; t += 7) {
       if (isLandmark(t)) continue;
-      PairCentricOracle fresh(shared, PairCentricOracle::Config{4});
+      DistanceOracle fresh(shared, DistanceOracle::Config{4});
       const double point = fresh.distance(s, t);
       // distance() normalizes to the row of min(s, t); the ALT result
       // must be bit-identical to that row's entry.
@@ -274,7 +280,8 @@ TEST(OracleAltQuery, PointQueryBitIdenticalToRowEntry) {
 TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
   const auto g = msc::test::randomGraph(35, 0.1, 44);
   const auto base = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(base);
+  const DistanceOracle oracle(std::make_shared<const Graph>(g),
+                              DistanceOracle::AllRowsResident{});
 
   const std::vector<std::pair<NodeId, NodeId>> shortcuts = {
       {0, 34}, {5, 20}, {11, 28}};
@@ -301,6 +308,140 @@ TEST(ShortcutRows, RowStoreBitIdenticalToFullMatrixRelaxation) {
                                   static_cast<std::size_t>(y)))
         << "y=" << y;
   }
+}
+
+// ---- all-rows-resident mode ----------------------------------------------
+
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+class ResidentMode : public ::testing::TestWithParam<int> {};
+
+// The dense mode holds allPairsDistances' matrix: every row and every point
+// query reads back its exact bits, on every generator, for any thread
+// count of the APSP build.
+TEST_P(ResidentMode, RowsAndPointQueriesBitIdenticalToApsp) {
+  const int threads = GetParam();
+  for (auto& gc : generatorSweep()) {
+    SCOPED_TRACE(gc.name);
+    const auto reference = msc::graph::allPairsDistances(gc.graph);
+    const DistanceOracle oracle(std::make_shared<const Graph>(gc.graph),
+                                DistanceOracle::AllRowsResident{threads});
+    ASSERT_STREQ(oracle.mode(), "dense");
+    const int n = gc.graph.nodeCount();
+    int mismatches = 0;
+    for (NodeId x = 0; x < n; ++x) {
+      const auto row = oracle.distancesFrom(x);
+      ASSERT_EQ(row.size(), static_cast<std::size_t>(n));
+      for (NodeId y = 0; y < n; ++y) {
+        const double want = reference(static_cast<std::size_t>(x),
+                                      static_cast<std::size_t>(y));
+        mismatches += !sameBits(row[static_cast<std::size_t>(y)], want);
+        mismatches += !sameBits(oracle.distance(x, y), want);
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+
+    const auto un = static_cast<std::size_t>(n);
+    const msc::graph::OracleStats s = oracle.stats();
+    EXPECT_EQ(s.rowQueries, un);
+    EXPECT_EQ(s.rowHits, s.rowQueries);
+    EXPECT_EQ(s.pointQueries, un * un);
+    EXPECT_EQ(s.rowBuilds, 0u);
+    EXPECT_EQ(s.rowsResident, un);
+    EXPECT_EQ(s.residentBytes, un * un * sizeof(double) + 64);
+    EXPECT_TRUE(oracle.landmarks().empty());
+    EXPECT_EQ(oracle.acquireRowLease(), nullptr);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ResidentMode, ::testing::Values(1, 4));
+
+// Eight readers share one resident oracle with no lock on the read path;
+// every value must still be the reference bits, and the always-on counters
+// must add up exactly.
+TEST(ResidentMode, ConcurrentReadersSeeReferenceBits) {
+  const auto g = msc::test::randomGraph(80, 0.06, 61);
+  const auto reference = msc::graph::allPairsDistances(g);
+  const DistanceOracle oracle(std::make_shared<const Graph>(g),
+                              DistanceOracle::AllRowsResident{2});
+  const int n = g.nodeCount();
+  constexpr int kThreads = 8;
+  constexpr int kIters = 200;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (int iter = 0; iter < kIters; ++iter) {
+        const auto x = static_cast<NodeId>((t * 37 + iter * 11) % n);
+        const auto y = static_cast<NodeId>((t * 5 + iter * 29) % n);
+        const auto row = oracle.distancesFrom(x);
+        for (NodeId v = 0; v < n; ++v) {
+          if (!sameBits(row[static_cast<std::size_t>(v)],
+                        reference(static_cast<std::size_t>(x),
+                                  static_cast<std::size_t>(v)))) {
+            mismatches.fetch_add(1);
+          }
+        }
+        if (!sameBits(oracle.distance(x, y),
+                      reference(static_cast<std::size_t>(x),
+                                static_cast<std::size_t>(y)))) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const msc::graph::OracleStats s = oracle.stats();
+  EXPECT_EQ(s.rowQueries, std::uint64_t{kThreads} * kIters);
+  EXPECT_EQ(s.pointQueries, std::uint64_t{kThreads} * kIters);
+  EXPECT_EQ(s.rowHits, s.rowQueries);
+}
+
+// Auto is the static node-count rule: all rows resident up to
+// kDenseAutoNodeLimit nodes, lazy one node past it.
+TEST(AutoMode, DenseAtTheLimitPairCentricJustAbove) {
+  const int limit = msc::graph::kDenseAutoNodeLimit;
+  const auto atLimit = msc::graph::makeDistanceOracle(
+      std::make_shared<const Graph>(limit), DistanceMode::Auto, 8, 2);
+  EXPECT_STREQ(atLimit->mode(), "dense");
+  EXPECT_EQ(atLimit->cachedRowCount(), static_cast<std::size_t>(limit));
+
+  const auto above = msc::graph::makeDistanceOracle(
+      std::make_shared<const Graph>(limit + 1), DistanceMode::Auto, 8, 2);
+  EXPECT_STREQ(above->mode(), "pair_centric");
+  EXPECT_LE(above->cachedRowCount(), 8u);  // landmark rows only
+}
+
+// An Auto graph keeps the mode it was built with for its whole cache life:
+// repeated solves reuse the one oracle (one build, the rest hits) even once
+// the lazy rows they cached outgrow half the dense matrix. The graph is
+// edgeless so every row is a cheap fill.
+TEST(AutoMode, RepeatedServeSolvesBuildTheOracleOnce) {
+  const int n = msc::graph::kDenseAutoNodeLimit + 1;
+  msc::serve::InstanceCache cache(/*byteBudget=*/0, /*oracleRowBudgetBytes=*/0);
+  const std::string graphKey = cache.putGraph(Graph(n), DistanceMode::Auto);
+  // 2 * 560 distinct endpoints: their rows exceed n^2 * 8 / 2 bytes.
+  std::vector<SocialPair> pairs;
+  for (NodeId i = 0; i < 560; ++i) pairs.push_back({2 * i, 2 * i + 1});
+  const std::string pairsKey = cache.putPairs(pairs);
+
+  for (int solve = 0; solve < 3; ++solve) {
+    SCOPED_TRACE(solve);
+    bool hit = false;
+    const Instance inst = cache.instance(graphKey, pairsKey, 1.0, 2, &hit);
+    EXPECT_EQ(hit, solve > 0);
+    EXPECT_STREQ(inst.distanceOracle().mode(), "pair_centric");
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.apspComputes, 1u);
+  EXPECT_EQ(stats.apspHits, 2u);
+  EXPECT_EQ(stats.oraclesPairCentric, 1u);
+  EXPECT_EQ(stats.oraclesDense, 0u);
+  EXPECT_GT(2 * stats.oraclePairCentric.residentBytes,
+            static_cast<std::size_t>(n) * n * sizeof(double));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 
@@ -42,6 +43,37 @@ TEST_F(ObsTest, SameNameYieldsSameCounter) {
   EXPECT_EQ(&a, &b);
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
+}
+
+// One name is one kind: a second registration as another of family, stat
+// or histogram throws, naming both kinds, instead of exporting two
+// `# TYPE` lines for the name.
+TEST(RegistryNames, OneNameCannotBeTwoKinds) {
+  Registry reg;
+  const auto expectClash = [](const auto& registerAgain, const char* first,
+                              const char* second) {
+    try {
+      registerAgain();
+      ADD_FAILURE() << "expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(first), std::string::npos) << what;
+      EXPECT_NE(what.find(second), std::string::npos) << what;
+    }
+  };
+  reg.histogram("clash.latency");
+  expectClash(
+      [&] {
+        reg.family("clash.latency", msc::obs::MetricType::Gauge, "help");
+      },
+      "histogram", "family");
+  reg.family("clash.depth", msc::obs::MetricType::Counter, "help");
+  expectClash([&] { reg.stat("clash.depth"); }, "family", "stat");
+  expectClash([&] { reg.histogram("clash.depth"); }, "family", "histogram");
+  reg.stat("clash.span");
+  expectClash([&] { reg.counter("clash.span"); }, "stat", "family");
+  // Re-registering the same kind still returns the existing handle.
+  EXPECT_EQ(&reg.histogram("clash.latency"), &reg.histogram("clash.latency"));
 }
 
 TEST_F(ObsTest, StatRecordsWelfordSummary) {

@@ -1,24 +1,22 @@
-// Telemetry, eviction, and auto-policy suite for the oracle observability
-// layer (ALGORITHMS.md §16). Three properties anchor it:
+// Telemetry and eviction suite for the oracle observability layer
+// (ALGORITHMS.md §16). Two properties anchor it:
 //
 //   1. Instrumentation is invisible: solver results are bit-identical with
-//      metrics on (counters + a bound RequestContext) and off, on both
-//      backends, at 1 and 4 threads.
+//      metrics on (counters + a bound RequestContext) and off, in both
+//      residency modes, at 1 and 4 threads.
 //   2. Eviction is invisible: under an arbitrarily small row budget the
 //      pair-centric oracle stays byte-bounded, re-materializes evicted
 //      rows bit-identically, and greedy produces the same placement as an
 //      unbounded run. Leases park evicted rows so spans stay valid.
-//   3. The measured auto policy is explainable: every decision's reason
-//      string names the measured quantities that drove it.
 //
 // The concurrent cases double as the TSan coverage for the eviction path
 // (ci.yml runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,14 +38,12 @@ using msc::core::InstanceOptions;
 using msc::core::ShortcutList;
 using msc::core::SigmaEvaluator;
 using msc::core::SocialPair;
-using msc::graph::AutoPolicyDecision;
 using msc::graph::DistanceMode;
+using msc::graph::DistanceOracle;
 using msc::graph::Graph;
-using msc::graph::kDenseAutoNodeLimit;
 using msc::graph::NodeId;
 using msc::graph::OracleStats;
 using msc::graph::oracleRowBytes;
-using msc::graph::PairCentricOracle;
 
 std::vector<SocialPair> spreadPairs(int n, int m) {
   std::vector<SocialPair> pairs;
@@ -120,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, TelemetryBitIdentity,
 TEST(OracleUsageCharging, BoundContextSeesQueryMix) {
   const auto g = msc::test::randomGraph(50, 0.1, 23);
   const auto shared = std::make_shared<const Graph>(g);
-  PairCentricOracle oracle(shared, PairCentricOracle::Config{4});
+  DistanceOracle oracle(shared, DistanceOracle::Config{4});
 
   msc::obs::RequestContext ctx("\"charge-test\"");
   {
@@ -179,9 +175,9 @@ TEST(OracleEviction, BoundedResidencyAndBitIdenticalRows) {
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
   const std::size_t budget = 8 * rowBytes;
 
-  PairCentricOracle unbounded(shared, PairCentricOracle::Config{4});
-  PairCentricOracle budgeted(shared,
-                             PairCentricOracle::Config{4, budget});
+  DistanceOracle unbounded(shared, DistanceOracle::Config{4});
+  DistanceOracle budgeted(shared,
+                          DistanceOracle::Config{4, budget});
   ASSERT_EQ(budgeted.rowBudgetBytes(), budget);
 
   std::size_t maxResident = 0;
@@ -216,8 +212,8 @@ TEST(OracleEviction, RematerializedRowBitIdentical) {
   const auto shared = std::make_shared<const Graph>(g);
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
-  PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{2, 4 * rowBytes});
+  DistanceOracle oracle(
+      shared, DistanceOracle::Config{2, 4 * rowBytes});
 
   const NodeId v = 55;
   const auto first = oracle.distancesFrom(v);
@@ -244,8 +240,8 @@ TEST(OracleEviction, LeaseParksEvictedRowsUntilReleased) {
   const auto shared = std::make_shared<const Graph>(g);
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
-  PairCentricOracle oracle(
-      shared, PairCentricOracle::Config{2, 3 * rowBytes});
+  DistanceOracle oracle(
+      shared, DistanceOracle::Config{2, 3 * rowBytes});
 
   auto lease = oracle.acquireRowLease();
   ASSERT_NE(lease, nullptr);
@@ -271,7 +267,7 @@ TEST(OracleEviction, LeaseParksEvictedRowsUntilReleased) {
   EXPECT_LT(oracle.residentBytes(), residentWithLease);
 }
 
-// Dense backend: no budget, no evictions, and no lease to hold.
+// All rows resident: no budget, no evictions, and no lease to hold.
 TEST(OracleEviction, DenseBackendNeverEvicts) {
   const auto g = msc::test::randomGraph(40, 0.1, 47);
   const auto oracle = msc::graph::makeDistanceOracle(
@@ -325,9 +321,9 @@ TEST(OracleEviction, ConcurrentQueriesUnderBudgetStayCorrect) {
   const auto shared = std::make_shared<const Graph>(g);
   const std::size_t rowBytes =
       oracleRowBytes(static_cast<std::size_t>(g.nodeCount()));
-  PairCentricOracle budgeted(shared,
-                             PairCentricOracle::Config{2, 4 * rowBytes});
-  PairCentricOracle reference(shared, PairCentricOracle::Config{2});
+  DistanceOracle budgeted(shared,
+                          DistanceOracle::Config{2, 4 * rowBytes});
+  DistanceOracle reference(shared, DistanceOracle::Config{2});
   for (NodeId v = 0; v < g.nodeCount(); ++v) (void)reference.distancesFrom(v);
 
   std::atomic<int> mismatches{0};
@@ -361,80 +357,6 @@ TEST(OracleEviction, ConcurrentQueriesUnderBudgetStayCorrect) {
   for (auto& w : workers) w.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(budgeted.stats().rowsEvicted, 0u);
-}
-
-// ---- measured auto-mode policy ------------------------------------------
-
-TEST(AutoPolicy, InitialPickFollowsNodeCountAndNamesIt) {
-  const AutoPolicyDecision small = msc::graph::autoInitialBackend(100);
-  EXPECT_EQ(small.backend, DistanceMode::Dense);
-  EXPECT_FALSE(small.switchBackend);
-  EXPECT_NE(small.reason.find("node_count=100"), std::string::npos);
-  EXPECT_NE(small.reason.find("dense_auto_limit"), std::string::npos);
-
-  const int big = kDenseAutoNodeLimit + 1;
-  const AutoPolicyDecision large = msc::graph::autoInitialBackend(big);
-  EXPECT_EQ(large.backend, DistanceMode::PairCentric);
-  EXPECT_NE(large.reason.find("node_count=" + std::to_string(big)),
-            std::string::npos);
-}
-
-TEST(AutoPolicy, PairCentricFallsBackToDenseWhenResidencyBlowsUp) {
-  const int n = 1000;  // dense matrix: 8 MB
-  OracleStats measured;
-  measured.residentBytes = 5'000'000;  // > half the dense matrix
-  measured.rowsTouched = 900;
-  const AutoPolicyDecision d =
-      msc::graph::autoRevalidateBackend(n, "pair_centric", measured);
-  EXPECT_EQ(d.backend, DistanceMode::Dense);
-  EXPECT_TRUE(d.switchBackend);
-  EXPECT_NE(d.reason.find("resident_row_bytes=5000000"), std::string::npos);
-  EXPECT_NE(d.reason.find("rows_touched=900"), std::string::npos);
-
-  measured.residentBytes = 1'000'000;  // comfortably under half
-  const AutoPolicyDecision stay =
-      msc::graph::autoRevalidateBackend(n, "pair_centric", measured);
-  EXPECT_EQ(stay.backend, DistanceMode::PairCentric);
-  EXPECT_FALSE(stay.switchBackend);
-  EXPECT_NE(stay.reason.find("resident_row_bytes=1000000"),
-            std::string::npos);
-}
-
-TEST(AutoPolicy, DenseSwitchesToPairCentricOnlyWhenMeasurementsAgree) {
-  const int n = 3000;  // above the auto limit; dense matrix: 72 MB
-  OracleStats measured;
-  measured.rowsTouched = 10;
-  measured.rowQueries = 100;
-  measured.pointQueries = 10;  // row-dominated
-  const AutoPolicyDecision d =
-      msc::graph::autoRevalidateBackend(n, "dense", measured);
-  EXPECT_EQ(d.backend, DistanceMode::PairCentric);
-  EXPECT_TRUE(d.switchBackend);
-  EXPECT_NE(d.reason.find("rows_touched=10"), std::string::npos);
-  EXPECT_NE(d.reason.find("pair_centric_bytes="), std::string::npos);
-
-  // Point-dominated workload: ALT queries would be slower; stay dense.
-  measured.pointQueries = 10'000;
-  const AutoPolicyDecision pointy =
-      msc::graph::autoRevalidateBackend(n, "dense", measured);
-  EXPECT_EQ(pointy.backend, DistanceMode::Dense);
-  EXPECT_FALSE(pointy.switchBackend);
-
-  // Below the auto limit dense is always fine, whatever the mix says.
-  measured.pointQueries = 10;
-  const AutoPolicyDecision tiny =
-      msc::graph::autoRevalidateBackend(kDenseAutoNodeLimit, "dense",
-                                        measured);
-  EXPECT_EQ(tiny.backend, DistanceMode::Dense);
-  EXPECT_FALSE(tiny.switchBackend);
-
-  // Touched rows predicting a footprint near the dense matrix: hysteresis
-  // (the 4x margin) keeps dense.
-  measured.rowsTouched = 2000;
-  const AutoPolicyDecision heavy =
-      msc::graph::autoRevalidateBackend(n, "dense", measured);
-  EXPECT_EQ(heavy.backend, DistanceMode::Dense);
-  EXPECT_FALSE(heavy.switchBackend);
 }
 
 }  // namespace

@@ -2,21 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "graph/apsp.h"
+#include "graph/distance_oracle.h"
 #include "graph/shortcut_distance.h"
 #include "helpers.h"
 #include "util/rng.h"
 
 namespace {
 
-using msc::graph::DenseMatrixOracle;
+using msc::graph::DistanceOracle;
+using msc::graph::Graph;
 using msc::graph::kInfDist;
 using msc::graph::OverlayEvaluator;
 
+DistanceOracle residentOracle(const Graph& g) {
+  return DistanceOracle(std::make_shared<const Graph>(g),
+                        DistanceOracle::AllRowsResident{});
+}
+
 TEST(Overlay, NoShortcutsReturnsBaseDistances) {
   const auto g = msc::test::lineGraph(6);
-  const auto d = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(d);
+  const DistanceOracle oracle = residentOracle(g);
   OverlayEvaluator overlay(oracle, {0, 3, 5});
   const auto dists = overlay.pairDistances({{0, 3}, {3, 5}, {0, 5}}, {});
   EXPECT_DOUBLE_EQ(dists[0], 3.0);
@@ -26,8 +34,7 @@ TEST(Overlay, NoShortcutsReturnsBaseDistances) {
 
 TEST(Overlay, ShortcutEndpointsNeedNotBeTerminals) {
   const auto g = msc::test::lineGraph(10);
-  const auto d = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(d);
+  const DistanceOracle oracle = residentOracle(g);
   OverlayEvaluator overlay(oracle, {0, 9});
   // Shortcut between interior nodes 1 and 8.
   const auto dists = overlay.pairDistances({{0, 9}}, {{1, 8}});
@@ -36,8 +43,7 @@ TEST(Overlay, ShortcutEndpointsNeedNotBeTerminals) {
 
 TEST(Overlay, MultiShortcutChaining) {
   const auto g = msc::test::lineGraph(12);
-  const auto d = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(d);
+  const DistanceOracle oracle = residentOracle(g);
   OverlayEvaluator overlay(oracle, {0, 11});
   // Chain: 0 ->1 =>4 ->5 =>10 ->11 uses BOTH shortcuts: length 3.
   const auto dists = overlay.pairDistances({{0, 11}}, {{1, 4}, {5, 10}});
@@ -46,16 +52,14 @@ TEST(Overlay, MultiShortcutChaining) {
 
 TEST(Overlay, NonTerminalQueryThrows) {
   const auto g = msc::test::lineGraph(5);
-  const auto d = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(d);
+  const DistanceOracle oracle = residentOracle(g);
   OverlayEvaluator overlay(oracle, {0, 4});
   EXPECT_THROW(overlay.pairDistances({{0, 2}}, {}), std::invalid_argument);
 }
 
 TEST(Overlay, InvalidNodesThrow) {
   const auto g = msc::test::lineGraph(5);
-  const auto d = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(d);
+  const DistanceOracle oracle = residentOracle(g);
   EXPECT_THROW(OverlayEvaluator(oracle, {0, 7}), std::out_of_range);
   OverlayEvaluator overlay(oracle, {0, 4});
   EXPECT_THROW(overlay.pairDistances({{0, 4}}, {{0, 9}}), std::out_of_range);
@@ -63,8 +67,7 @@ TEST(Overlay, InvalidNodesThrow) {
 
 TEST(Overlay, CountWithinThreshold) {
   const auto g = msc::test::lineGraph(8);
-  const auto d = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(d);
+  const DistanceOracle oracle = residentOracle(g);
   OverlayEvaluator overlay(oracle, {0, 3, 7});
   EXPECT_EQ(overlay.countWithinThreshold({{0, 3}, {0, 7}, {3, 7}}, {}, 3.5),
             1);
@@ -81,7 +84,7 @@ TEST_P(OverlayProperty, MatchesMatrixRelaxation) {
   const std::uint64_t seed = GetParam();
   const auto g = msc::test::randomGraph(35, 0.07, seed);
   const auto base = msc::graph::allPairsDistances(g);
-  const DenseMatrixOracle oracle(base);
+  const DistanceOracle oracle = residentOracle(g);
   msc::util::Rng rng(seed ^ 0x0f0fULL);
 
   // Random terminals and shortcuts.

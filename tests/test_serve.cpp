@@ -1117,6 +1117,30 @@ TEST(ServeTelemetry, StatsAndMetricsExposeProgressAndCancellationSeries) {
   }
 }
 
+// With MSC_METRICS collection on, a cancellation is counted once, by the
+// labeled family; no gated duplicate series ride along in the global
+// registry.
+TEST(ServeTelemetry, DeadlineCancellationCountedOnceWithMetricsEnabled) {
+  const bool wasEnabled = msc::obs::enabled();
+  msc::obs::resetAll();
+  msc::obs::setEnabled(true);
+  Engine engine;
+  const auto resp = json::parse(engine.handleLine(
+      "{\"id\":1,\"cmd\":\"sleep\",\"ms\":5000,\"deadline_seconds\":0.01}"));
+  const std::string metrics = engine.metricsText();
+  msc::obs::setEnabled(wasEnabled);
+  msc::obs::resetAll();
+
+  EXPECT_EQ(resp.find("status")->asString(), "deadline_exceeded");
+  EXPECT_NE(
+      metrics.find("msc_serve_cancellations_total{reason=\"deadline\"} 1\n"),
+      std::string::npos)
+      << metrics;
+  EXPECT_EQ(metrics.find("msc_serve_cancelled_"), std::string::npos);
+  EXPECT_EQ(metrics.find("msc_serve_requests_total"), std::string::npos);
+  EXPECT_EQ(metrics.find("msc_serve_errors"), std::string::npos);
+}
+
 // Every msc_serve_oracle_*_total sample of a Prometheus page, by series.
 std::map<std::string, double> oracleTotalSamples(const std::string& prom) {
   std::map<std::string, double> out;
