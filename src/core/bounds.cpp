@@ -1,10 +1,10 @@
 #include "core/bounds.h"
 
 #include <algorithm>
-#include <bit>
 #include <span>
 #include <utility>
 
+#include "core/pair_balls.h"
 #include "obs/metrics.h"
 
 namespace msc::core {
@@ -27,10 +27,9 @@ bool satisfiedWithOneShortcut(const double* ru, const double* rw,
 
 // Base distance rows of every pair endpoint (cached in the oracle, so the
 // spans stay valid for the evaluator's lifetime).
-std::vector<std::pair<const double*, const double*>> pairEndpointRows(
-    const Instance& instance) {
+std::vector<PairRows> pairEndpointRows(const Instance& instance) {
   const auto& oracle = instance.distanceOracle();
-  std::vector<std::pair<const double*, const double*>> rows;
+  std::vector<PairRows> rows;
   rows.reserve(instance.pairs().size());
   for (const SocialPair& p : instance.pairs()) {
     rows.push_back(
@@ -44,12 +43,8 @@ double addWeightsOf(double total, const util::Bitset& bits,
                     const std::vector<double>& weights) {
   const auto& words = bits.words();
   for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t word = words[w];
-    while (word != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-      total += weights[w * 64 + bit];
-      word &= word - 1;
-    }
+    forEachSetBit(words[w], w * 64,
+                  [&](std::size_t i) { total += weights[i]; });
   }
   return total;
 }
@@ -73,14 +68,29 @@ MuEvaluator::MuEvaluator(const Instance& instance,
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (instance.baseSatisfied(pairs[i])) baseSatisfied_.set(i);
   }
+  // A pair passes satisfiedWithOneShortcut only at base (its own ru[w])
+  // or through a sum whose bit is in the pair-ball reach of the shortcut,
+  // so only those bits need the exact check.
+  const PairBalls balls(instance.graph().nodeCount(), rows, dt);
+  std::vector<std::uint64_t> atBase(balls.words(), 0);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (rows[i].first[static_cast<std::size_t>(pairs[i].w)] <= dt) {
+      atBase[i / 64] |= 1ULL << (i % 64);
+    }
+  }
   perCandidate_.reserve(candidates.size());
   for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const Shortcut& f = candidates[c];
     util::Bitset bits(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (satisfiedWithOneShortcut(rows[i].first, rows[i].second, pairs[i],
-                                   candidates[c], dt)) {
-        bits.set(i);
-      }
+    for (std::size_t w = 0; w < atBase.size(); ++w) {
+      forEachSetBit(balls.reachWord(f.a, f.b, w) | atBase[w], w * 64,
+                    [&](std::size_t i) {
+                      if (satisfiedWithOneShortcut(rows[i].first,
+                                                   rows[i].second, pairs[i],
+                                                   f, dt)) {
+                        bits.set(i);
+                      }
+                    });
     }
     perCandidate_.push_back(std::move(bits));
   }

@@ -60,6 +60,12 @@ class MuEvaluator final : public SetFunction, public IncrementalEvaluator {
   /// restriction (includes base-satisfied pairs).
   util::Bitset satisfiedBy(const Shortcut& f) const;
 
+  /// The precomputed pairs of candidate `index`: satisfiedBy without the
+  /// base-satisfied union.
+  const util::Bitset& candidateBits(std::size_t index) const {
+    return perCandidate_.at(index);
+  }
+
  private:
   const util::Bitset& bitsetFor(const Shortcut& f, util::Bitset& scratch) const;
   /// Summed weight of the pairs in `pairs` (their count when unweighted).

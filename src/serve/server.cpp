@@ -251,9 +251,13 @@ std::string Engine::handleLine(const std::string& line) {
   try {
     return handle(parseRequest(line));
   } catch (const ProtocolError& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    return errorResponse(e.id, e.what());
+    return rejectLine(e);
   }
+}
+
+std::string Engine::rejectLine(const ProtocolError& error) {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  return errorResponse(error.id, error.what());
 }
 
 std::string Engine::handle(const Request& request, double queueWaitSeconds,
@@ -1129,7 +1133,7 @@ struct ServerRun {
     try {
       request = parseRequest(line);
     } catch (const ProtocolError& e) {
-      sink->write(errorResponse(e.id, e.what()));
+      sink->write(engine.rejectLine(e));
       return;
     }
     // Readiness probes and cancels bypass the admission queue entirely:

@@ -86,6 +86,9 @@ class Engine {
   /// and execution failures come back as status:"error" responses.
   std::string handleLine(const std::string& line);
 
+  /// Reply to a line parseRequest rejected, counted in `stats` errors.
+  std::string rejectLine(const ProtocolError& error);
+
   /// Executes an already-parsed request. Never throws. `queueWaitSeconds`
   /// is how long the request sat in the admission queue (0 when executed
   /// directly); it feeds the serve.queue_wait_seconds histogram and the

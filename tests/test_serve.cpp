@@ -510,6 +510,22 @@ const json::Value* responseForId(const std::vector<json::Value>& responses,
   return nullptr;
 }
 
+TEST(ServeServer, UnparseableLineCountsAsError) {
+  // The line never reaches the engine's own parse, but `stats` still
+  // counts it: printf 'not json\n{"id":2,"cmd":"stats"}\n' | msc_cli serve
+  Server server;
+  const auto responses =
+      runScript(server, {"not json", "{\"id\":2,\"cmd\":\"stats\"}"});
+  ASSERT_EQ(responses.size(), 2u);
+  const auto* stats = responseForId(responses, 2);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->find("status")->asString(), "ok");
+  EXPECT_EQ(stats->find("errors")->asNumber(), 1.0);
+  EXPECT_EQ(stats->find("requests")->asNumber(), 1.0);
+  const auto& rejected = &responses[0] == stats ? responses[1] : responses[0];
+  EXPECT_EQ(rejected.find("status")->asString(), "error");
+}
+
 TEST(ServeServer, ShutdownDrainsAdmittedRequestsWithStructuredErrors) {
   Server server;
   // The sleep keeps the executor busy long enough for the reader to admit
